@@ -22,7 +22,9 @@ from .states import (
     BlochPair,
     EigenStateRecord,
     assemble_state,
+    basis_and_derivatives,
     bulk_quasimomenta,
+    d_norm,
     edge_alpha,
     eigen_residual,
     extended_amplitude,
@@ -31,21 +33,13 @@ from .states import (
     in_gap_record,
     quantization_residual,
     ssh_bloch,
+    ssh_dalpha,
+    ssh_dbloch,
     ssh_energy,
     ssh_lambda_of,
     zero_mode_internal_alpha,
 )
-from .cd import (
-    DerivativeBundle,
-    GaugePotentialMatrix,
-    cd_kernel,
-    d_norm,
-    derivative_bundle,
-    full_cd,
-    ssh_dalpha,
-    ssh_dbloch,
-    targeted_cd,
-)
+from .cd import GaugePotentialMatrix, full_cd, targeted_cd
 from .dynamics import (
     EvolutionResult,
     Protocol,
@@ -68,7 +62,6 @@ from .spectral import (
 __all__ = [
     "BlochPair",
     "ConvergenceError",
-    "DerivativeBundle",
     "DomainError",
     "EigenStateRecord",
     "EvolutionResult",
@@ -82,13 +75,12 @@ __all__ = [
     "UnsupportedPathError",
     "assemble_state",
     "band_limit",
+    "basis_and_derivatives",
     "build_hamiltonian",
     "bulk_quasimomenta",
-    "cd_kernel",
     "convergence_sweep",
     "d_norm",
     "default_dt",
-    "derivative_bundle",
     "diagonal_norm_ratio",
     "edge_alpha",
     "eigen_residual",

@@ -4,55 +4,26 @@ The rate-free generator is
 
     A = i * sum_alpha |d_lambda psi_alpha><psi_alpha|
 
-assembled from closed-form derivative data; the propagator multiplies it by
-the instantaneous ramp rate. Every state derivative is taken in the
-parallel-transport gauge (<psi | d psi> = 0), which makes the generator's
-diagonal vanish identically and keeps it Hermitian by basis completeness.
-The full generator sums all M states; the targeted generator keeps only the
-in-gap edge state, explicitly Hermitized as i(theta - theta^dagger).
+assembled from the closed-form states and derivatives of ``states``; the
+propagator multiplies it by the instantaneous ramp rate. Every state
+derivative is taken in the parallel-transport gauge (<psi | d psi> = 0),
+which makes the generator's diagonal vanish identically and keeps it
+Hermitian by basis completeness. The full generator sums all M states; the
+targeted generator keeps only the in-gap edge state, explicitly Hermitized
+as i(theta - theta^dagger).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularityError
 from .lattice import LatticeSpec, hermiticity_residual, hermitize
-from .states import (
-    EigenStateRecord,
-    _require_ssh,
-    bulk_quasimomenta,
-    in_gap_record,
-    ssh_bloch,
-    zero_mode_internal_alpha,
-    zero_mode_sublattice_sign,
-)
+from .states import _require_ssh, _zero_mode, basis_and_derivatives
 
 _STRUCTURE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Closed-form lambda-derivative data for one eigenstate.
-
-    ``alpha`` is the assembly-branch mode parameter (it can have modulus > 1
-    for an in-gap state bound to the far wall). ``dlog_plus``/``dlog_minus``
-    are the per-site factors multiplying the alpha^x and alpha^(2L-x)
-    branches of d_lambda psi; they already include d_norm/norm. ``dpsi`` is
-    the parallel-transport-projected derivative of the normalized state.
-    """
-
-    alpha: complex
-    d_alpha: complex
-    d_phi_plus: np.ndarray
-    d_phi_minus: np.ndarray
-    d_norm: float
-    dlog_plus: np.ndarray
-    dlog_minus: np.ndarray
-    dpsi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,248 +42,6 @@ class GaugePotentialMatrix:
             raise SingularityError(f"unknown CD mode {self.mode!r}")
 
 
-def ssh_dalpha(alpha: complex, lam: float, kind: str) -> complex:
-    """d alpha / d lambda of an SSH eigenstate.
-
-    Commensurate band states have their quasimomentum pinned by the walls, so
-    the derivative is zero. For the in-gap state the differentiated local
-    Schroedinger equation gives the closed rational form below, which on the
-    zero-mode branch reduces to -alpha/(1 - lambda^2).
-    """
-    if kind == "bulk":
-        return 0.0 + 0.0j
-    if kind != "in-gap":
-        raise SingularityError(f"unknown state kind {kind!r}")
-    if abs(lam) < 1e-12 or abs(abs(lam) - 1.0) < 1e-12:
-        raise SingularityError(
-            f"in-gap mode-parameter derivative is singular at lambda={lam}"
-        )
-    a = complex(alpha)
-    a2 = a * a
-    a4 = a2 * a2
-    lam3 = lam**3
-    num = 1 + 2 * a2 + a4 + lam3 - 2 * a2 * lam3 + a4 * lam3
-    den = lam * (a4 - 1) * (lam - 1) * (1 + lam) ** 2
-    return -a * num / den
-
-
-def ssh_dbloch(
-    alpha: complex, lam: float, d_alpha: complex, energy: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of the two SSH Bloch branches with respect to lambda.
-
-    First components are gauge-pinned to 1 and carry no derivative. The
-    second components follow from differentiating the closed Bloch forms;
-    both denominators below are the lambda-derivatives' exact rational forms
-    (the alpha -> 1/alpha image fixes the sign of the second one).
-    """
-    if energy == 0.0:
-        raise SingularityError(
-            "Bloch derivative divides by the energy; use the sublattice-polarized "
-            "path for the zero mode"
-        )
-    a = complex(alpha)
-    num = 1 - a**4 - 4 * lam * a * complex(d_alpha)
-    den_plus = (lam - 1) * a**3 - (1 + lam) * a
-    den_minus = (1 + lam) * a**3 + (1 - lam) * a
-    d_plus = num / (den_plus * energy)
-    d_minus = num / (den_minus * energy)
-    return np.array([0.0, d_plus]), np.array([0.0, d_minus])
-
-
-def d_norm(record: EigenStateRecord, dpsi_tilde: np.ndarray) -> float:
-    """d N / d lambda from the unnormalised state and its raw derivative.
-
-    Implements -1/2 N^3 sum_x [conj(psi~) d psi~ + psi~ conj(d psi~)]; the
-    bracket is manifestly real, so the result is returned as a float.
-    """
-    n = record.norm
-    psi_tilde = record.coeffs / n
-    overlap = np.vdot(psi_tilde, dpsi_tilde)
-    return float(-(n**3) * overlap.real)
-
-
-def derivative_bundle(spec: LatticeSpec, lam: float, record: EigenStateRecord) -> DerivativeBundle:
-    """Closed-form derivative data for one record of the SSH basis.
-
-    Band states: fixed quasimomentum (d_alpha = 0) and constant norm, so only
-    the Bloch components move. In-gap state: the sublattice-polarized profile
-    alpha^x with d alpha/alpha = -1/(1-lambda^2), where the Bloch-derivative
-    formulas would divide by zero energy.
-    """
-    xs = spec.sites()
-    if abs(record.alpha.real) <= 1e-12 * abs(record.alpha):
-        return _in_gap_bundle(spec, lam, record, xs)
-    return _bulk_bundle(spec, lam, record, xs)
-
-
-def _in_gap_bundle(spec, lam, record, xs) -> DerivativeBundle:
-    sigma = zero_mode_sublattice_sign(spec)
-    alpha_int = zero_mode_internal_alpha(spec, lam)
-    dlog_alpha = -sigma / (1.0 - lam * lam)
-    mean_x = float(np.sum(xs * np.abs(record.coeffs) ** 2))
-    # A(x) = dN/N + x * dalpha/alpha with dN/N = -<x> * dalpha/alpha
-    dlog = (xs - mean_x) * dlog_alpha
-    dpsi = record.coeffs * dlog
-    return DerivativeBundle(
-        alpha=alpha_int,
-        d_alpha=alpha_int * dlog_alpha,
-        d_phi_plus=np.zeros(2, dtype=complex),
-        d_phi_minus=np.zeros(2, dtype=complex),
-        d_norm=float(record.norm * (-mean_x) * dlog_alpha),
-        dlog_plus=dlog.astype(complex),
-        dlog_minus=np.zeros_like(xs, dtype=complex),
-        dpsi=dpsi,
-    )
-
-
-def _bulk_bundle(spec, lam, record, xs) -> DerivativeBundle:
-    alpha = record.alpha
-    energy = record.energy
-    bloch = ssh_bloch(alpha, lam, record.band)
-    d_plus, d_minus = ssh_dbloch(alpha, lam, 0.0, energy)
-    v_plus = bloch.phi_plus[1]
-    v_minus = bloch.phi_minus[1]
-    odd = xs % 2 == 1
-    dlog_v_plus = d_plus[1] / v_plus
-    dlog_v_minus = d_minus[1] / v_minus
-    # branch ratio phi_plus(L)/phi_minus(L): derivative vanishes when L sits
-    # on the gauge-pinned component
-    if spec.L % 2 == 1:
-        dlog_ratio = dlog_v_plus - dlog_v_minus
-    else:
-        dlog_ratio = 0.0
-    a_tilde = np.where(odd, dlog_v_plus, 0.0)
-    b_tilde = dlog_ratio + np.where(odd, dlog_v_minus, 0.0)
-    phi_p = np.where(odd, v_plus, 1.0)
-    phi_m = np.where(odd, v_minus, 1.0)
-    ratio = v_plus / v_minus if spec.L % 2 == 1 else 1.0
-    branch_plus = phi_p * alpha**xs
-    branch_minus = ratio * phi_m * alpha ** (2 * spec.L - xs)
-    psi_tilde = branch_plus - branch_minus
-    dpsi_tilde = branch_plus * a_tilde - branch_minus * b_tilde
-    # carry the record's own overall phase so the kernel is insensitive to
-    # per-state phase conventions
-    psi_std = psi_tilde / np.linalg.norm(psi_tilde)
-    overlap = np.vdot(psi_std, record.coeffs)
-    phase = overlap / abs(overlap)
-    dpsi_raw = phase * dpsi_tilde / np.linalg.norm(psi_tilde)
-    gauge = np.vdot(record.coeffs, dpsi_raw)
-    dpsi = dpsi_raw - gauge * record.coeffs
-    return DerivativeBundle(
-        alpha=alpha,
-        d_alpha=0.0 + 0.0j,
-        d_phi_plus=d_plus,
-        d_phi_minus=d_minus,
-        d_norm=0.0,
-        dlog_plus=a_tilde.astype(complex),
-        dlog_minus=np.asarray(b_tilde, dtype=complex),
-        dpsi=dpsi,
-    )
-
-
-def cd_kernel(record: EigenStateRecord, bundle: DerivativeBundle) -> np.ndarray:
-    """Coupling kernel of one state: column x' is d_psi(x) * conj(psi(x'))."""
-    return np.outer(bundle.dpsi, record.coeffs.conj())
-
-
-_GRID_CACHE: dict[tuple[int, int], dict] = {}
-
-
-def _chain_grids(spec: LatticeSpec) -> dict:
-    """Ramp-independent geometry: momenta, branch phases, sublattice masks."""
-    key = (spec.L, spec.x0)
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    xs = spec.sites()
-    ks = bulk_quasimomenta(spec)
-    ks = ks[ks < np.pi / 2 - 1e-12]
-    odd = xs % 2 == 1
-    populated = (xs % 2) == ((spec.x0 + 1) % 2)
-    grids = {
-        "xs": xs,
-        "ks": ks,
-        "odd_row": odd[None, :],
-        "branch1": np.exp(1j * ks[:, None] * xs[None, :]),
-        "branch2": np.exp(1j * ks[:, None] * (2 * spec.L - xs[None, :])),
-        "sign_flip": np.where(odd, -1.0, 1.0)[None, :],
-        "populated": populated,
-        "xp": xs[populated],
-        "edge_phases": 1j ** (xs[populated].astype(float)),
-        "cos_k": np.cos(ks),
-        "sin_k": np.sin(ks),
-        "alpha4": np.exp(4j * ks),
-        "alpha": np.exp(1j * ks),
-    }
-    _GRID_CACHE[key] = grids
-    return grids
-
-
-def _edge_state_and_derivative(spec: LatticeSpec, lam: float, grids: dict):
-    """Closed-form zero mode and its projected derivative, no record overhead."""
-    sigma = zero_mode_sublattice_sign(spec)
-    a_int = abs(zero_mode_internal_alpha(spec, lam))
-    xp = grids["xp"]
-    x_ref = xp[0] if a_int <= 1.0 else xp[-1]
-    profile = np.exp((xp - x_ref) * math.log(a_int))
-    psi = np.zeros(spec.n_sites, dtype=complex)
-    psi[grids["populated"]] = profile * grids["edge_phases"]
-    psi /= np.linalg.norm(psi)
-    xs = grids["xs"]
-    dlog_alpha = -sigma / (1.0 - lam * lam)
-    mean_x = np.sum(xs * np.abs(psi) ** 2)
-    dpsi = psi * ((xs - mean_x) * dlog_alpha)
-    return psi, dpsi
-
-
-def _basis_and_derivatives(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of normalized states and their projected derivatives, vectorised.
-
-    Band-1 quantities follow from band-0 by negating the odd-sublattice
-    amplitudes, so only one band is assembled explicitly.
-    """
-    grids = _chain_grids(spec)
-    ks = grids["ks"]
-    n_k = len(ks)
-    m = spec.n_sites
-    cos_k, sin_k = grids["cos_k"], grids["sin_k"]
-    energy = 2.0 * np.sqrt(cos_k**2 + lam**2 * sin_k**2)
-    v_plus = 2.0 * (cos_k + 1j * lam * sin_k) / energy
-    v_minus = 2.0 * (cos_k - 1j * lam * sin_k) / energy
-    ratio = (v_plus / v_minus)[:, None]
-    odd = grids["odd_row"]
-    branch1, branch2 = grids["branch1"], grids["branch2"]
-    phi_p = np.where(odd, v_plus[:, None], 1.0)
-    phi_m = np.where(odd, v_minus[:, None], 1.0)
-    b_plus = phi_p * branch1
-    b_minus = ratio * phi_m * branch2
-    psi_t = b_plus - b_minus
-    alpha = grids["alpha"]
-    num = 1 - grids["alpha4"]
-    dv_plus = num / (((lam - 1) * alpha**3 - (1 + lam) * alpha) * energy)
-    dv_minus = num / (((1 + lam) * alpha**3 + (1 - lam) * alpha) * energy)
-    dlog_p = dv_plus / v_plus
-    dlog_m = dv_minus / v_minus
-    a_tilde = np.where(odd, dlog_p[:, None], 0.0)
-    b_tilde = (dlog_p - dlog_m)[:, None] + np.where(odd, dlog_m[:, None], 0.0)
-    dpsi_t = b_plus * a_tilde - b_minus * b_tilde
-    norms = np.linalg.norm(psi_t, axis=1, keepdims=True)
-    p = np.empty((2 * n_k + 1, m), dtype=complex)
-    dp = np.empty_like(p)
-    p0 = psi_t / norms
-    dp0 = dpsi_t / norms
-    gauge = np.sum(p0.conj() * dp0, axis=1, keepdims=True)
-    dp0 -= gauge * p0
-    p[:n_k] = p0
-    dp[:n_k] = dp0
-    sign_flip = grids["sign_flip"]
-    p[n_k : 2 * n_k] = p0 * sign_flip
-    dp[n_k : 2 * n_k] = dp0 * sign_flip
-    p[-1], dp[-1] = _edge_state_and_derivative(spec, lam, grids)
-    return p, dp
-
-
 def _finalize_generator(raw: np.ndarray, mode: str, lam: float) -> GaugePotentialMatrix:
     scale = float(np.max(np.abs(raw))) or 1.0
     residual = hermiticity_residual(raw)
@@ -320,7 +49,7 @@ def _finalize_generator(raw: np.ndarray, mode: str, lam: float) -> GaugePotentia
         raise ArithmeticError(
             f"anti-Hermitian residual {residual:.3e} exceeds {_STRUCTURE_TOL} x {scale:.3e}"
         )
-    matrix, _ = hermitize(raw)
+    matrix = hermitize(raw)
     diag_max = float(np.max(np.abs(np.diag(matrix))))
     if diag_max > _STRUCTURE_TOL * scale:
         raise ArithmeticError(
@@ -332,25 +61,27 @@ def _finalize_generator(raw: np.ndarray, mode: str, lam: float) -> GaugePotentia
     return GaugePotentialMatrix(matrix=matrix, mode=mode, lam=lam)
 
 
+def _basis_and_derivatives(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """State and derivative rows of the snapshot (also timed by benchmarks/reference.py)."""
+    _, states, derivatives, _ = basis_and_derivatives(spec, lam)
+    return states, derivatives
+
+
 def full_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions between all M states."""
-    _require_ssh(spec, lam)
-    p, dp = _basis_and_derivatives(spec, lam)
-    raw = 1j * (dp.T @ p.conj())
+    states, derivatives = _basis_and_derivatives(spec, lam)
+    raw = 1j * (derivatives.T @ states.conj())
     return _finalize_generator(raw, "full", lam)
 
 
-def targeted_cd(spec: LatticeSpec, lam: float, record: EigenStateRecord | None = None,
-                bundle: DerivativeBundle | None = None) -> GaugePotentialMatrix:
+def targeted_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions out of the in-gap state.
 
     i(theta - theta^dagger) for the single targeted state: exactly Hermitian
     by construction and of rank at most 2.
     """
-    if record is None:
-        record = in_gap_record(spec, lam)
-    if bundle is None:
-        bundle = derivative_bundle(spec, lam, record)
-    theta = cd_kernel(record, bundle)
+    _require_ssh(spec, lam)
+    psi, dpsi = _zero_mode(spec, lam)[:2]
+    theta = np.outer(dpsi, psi.conj())
     raw = 1j * (theta - theta.conj().T)
     return _finalize_generator(raw, "targeted", lam)

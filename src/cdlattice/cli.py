@@ -1,8 +1,9 @@
 """Command-line front end: every experiment is a CSV-emitting subcommand.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-singularity abort. All configuration is passed by flags (no environment
-variables), and identical configurations produce byte-identical CSV.
+Exit codes: 0 success, 2 configuration/validation error, 3 numerical abort
+(a singularity or a failed structure check). All configuration is passed by
+flags (no environment variables), and identical configurations produce
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ import numpy as np
 
 from . import __version__
 from .cd import full_cd, targeted_cd
-from .dynamics import Protocol, band_limit, convergence_sweep, default_dt, fidelity, propagate
+from .dynamics import Protocol, convergence_sweep, default_dt, propagate
 from .errors import (
     ConvergenceError,
     DomainError,
     InvalidSpecError,
     NotHermitianError,
-    SingularityError,
     UnsupportedPathError,
 )
 from .io import write_csv
 from .lattice import build_hamiltonian, hermiticity_residual, ssh_spec
 from .spectral import (
     diagonal_norm_ratio,
-    eigh,
     frobenius_norm,
     gap_to_zero_mode,
     spectrum_sweep,
@@ -74,8 +73,9 @@ def _validate_cd_endpoints(args):
         raise InvalidSpecError("CD drives cannot start or end exactly at lambda = +-1")
 
 
-def _protocol_config(args, extra=None):
-    cfg = {
+def _protocol_config(args) -> dict:
+    """Manifest of a transfer run; ``dt`` is --dt or the default time * 1e-4."""
+    return {
         "sites": args.sites,
         "x0": args.x0,
         "lambda0": args.lambda0,
@@ -84,9 +84,6 @@ def _protocol_config(args, extra=None):
         "dt": args.dt if args.dt is not None else args.time * 1e-4,
         "cd": args.cd,
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
 def cmd_spectrum(args) -> int:
@@ -170,7 +167,8 @@ def cmd_norm(args) -> int:
 def cmd_transfer(args) -> int:
     _validate_cd_endpoints(args)
     build = _spec_builder(args)
-    dt = args.dt if args.dt is not None else args.time * 1e-4
+    config = _protocol_config(args)
+    dt = config["dt"]
     if args.d_sweep is not None:
         if args.cd == "none":
             raise InvalidSpecError("--d-sweep needs a CD mode")
@@ -181,7 +179,7 @@ def cmd_transfer(args) -> int:
                                 cd_mode=args.cd, band_limit=d)
             rows.append((d, propagate(build, protocol, dt).fidelity))
         write_csv(args.out or "transfer_dsweep.csv", "transfer",
-                  _protocol_config(args, {"d_sweep": args.d_sweep}),
+                  {**config, "d_sweep": args.d_sweep},
                   ["d", "fidelity"], rows)
         return 0
     protocol = Protocol(args.lambda0, args.lambdaf, args.time,
@@ -193,13 +191,13 @@ def cmd_transfer(args) -> int:
             for r in result.trace
         ]
         write_csv(args.out or "transfer_trace.csv", "transfer",
-                  _protocol_config(args, {"trace": args.trace}),
+                  {**config, "trace": args.trace},
                   ["t", "lambda", "fidelity_to_instantaneous", "norm"], rows)
         return 0
     result = propagate(build, protocol, dt)
     d_eff = args.diagonals if args.diagonals is not None else args.sites - 1
     write_csv(args.out or "transfer.csv", "transfer",
-              _protocol_config(args),
+              config,
               ["d", "fidelity"], [(d_eff, result.fidelity)])
     return 0
 
@@ -352,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cd-spectrum", help="spectrum of the CD-modified Hamiltonian")
     _chain_args(p)
-    p.add_argument("--grid", default="-0.99:0.99:199")
+    p.add_argument("--grid", default="-0.99:0.99:198",
+                   help="lambda grid start:stop:count; must avoid 0 and +-1")
     p.add_argument("--mode", choices=("full", "targeted"), default="targeted")
     p.add_argument("--lambda0", type=float, default=0.9)
     p.add_argument("--lambdaf", type=float, default=-0.9)
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
     except (InvalidSpecError, UnsupportedPathError, DomainError, NotHermitianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
-    except (SingularityError, ConvergenceError) as exc:
+    except (ArithmeticError, ConvergenceError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return SINGULARITY_EXIT
 

@@ -36,15 +36,12 @@ class Protocol:
     lambda0: float
     lambdaf: float
     total_time: float
-    shape: str = "linear"
     cd_mode: str = "none"
     band_limit: int | None = None
 
     def __post_init__(self):
         if self.total_time <= 0:
             raise InvalidSpecError("total_time must be positive")
-        if self.shape != "linear":
-            raise InvalidSpecError(f"unsupported ramp shape {self.shape!r}")
         if self.cd_mode not in ("none", "full", "targeted"):
             raise InvalidSpecError(f"unknown cd_mode {self.cd_mode!r}")
 

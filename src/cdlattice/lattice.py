@@ -120,10 +120,9 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return ((m + m^dagger)/2, max-norm of the anti-Hermitian part)."""
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Return (m + m^dagger)/2; ``hermiticity_residual`` measures what it removes."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidSpecError(f"expected a square matrix, got shape {m.shape}")
-    residual = hermiticity_residual(m)
-    return (m + m.conj().T) / 2.0, residual
+    return (m + m.conj().T) / 2.0

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cd import full_cd, targeted_cd
 from .dynamics import band_limit
-from .errors import InvalidSpecError, NotHermitianError, SingularityError
+from .errors import InvalidSpecError, NotHermitianError
 from .lattice import build_hamiltonian, hermiticity_residual, ssh_spec
 
 
@@ -103,6 +103,6 @@ def spectrum_sweep(
             elif mode == "targeted-cd":
                 h = h + drive_rate * targeted_cd(spec, float(lam)).matrix
             rows[i] = np.linalg.eigvalsh(h)
-        except (SingularityError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             flags[i] = str(exc)
     return SpectrumTable(lambdas=lambdas, eigenvalues=rows, mode=mode, flags=flags)

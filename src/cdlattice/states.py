@@ -8,16 +8,20 @@ where phi_plus/phi_minus are unit-cell Bloch functions associated with alpha
 and 1/alpha, and the mode parameter alpha fully characterises the state:
 |alpha| = 1 for band (bulk) states, 0 < |alpha| < 1 for in-gap bound states.
 The SSH closed forms (two-band dispersion, Bloch components, zero-mode
-sublattice recursion) live here, together with the two quantization routes:
-the wall boundary condition for bulk states and the single-site local
-Schroedinger equation for the in-gap state.
+sublattice recursion) and their lambda-derivatives live here, each written
+once and broadcasting over numpy arrays, together with the two quantization
+routes: the wall boundary condition for bulk states and the single-site local
+Schroedinger equation for the in-gap state. ``basis_and_derivatives`` builds
+every state of a chain and its derivative from them in one pass.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,8 +128,8 @@ def ssh_energy(alpha: complex, lam: float, s: int) -> float:
         return sign * 0.0
     if abs(abs(a) - 1.0) <= _UNIT_TOL:
         k = cmath.phase(a)
-        return sign * 2.0 * math.sqrt(math.cos(k) ** 2 + lam**2 * math.sin(k) ** 2)
-    e2 = ((1 + a * a) / a) ** 2 - lam**2 * ((a * a - 1) / a) ** 2
+        return sign * float(_band_energy(math.cos(k) ** 2, math.sin(k) ** 2, lam))
+    e2 = _squared_energy(a, lam)
     if abs(e2.imag) > 1e-10 * max(1.0, abs(e2)) or e2.real < 0:
         raise DomainError(
             f"negative or complex squared energy {e2} outside the supported alpha families"
@@ -133,11 +137,37 @@ def ssh_energy(alpha: complex, lam: float, s: int) -> float:
     return sign * math.sqrt(e2.real)
 
 
-def _bloch_second_components(alpha: complex, lam: float, energy: float) -> tuple[complex, complex]:
-    a = complex(alpha)
-    v_plus = ((1 + a * a) - lam * (1 - a * a)) / (energy * a)
-    v_minus = ((a + 1 / a) - lam * (a - 1 / a)) / energy
+def _band_energy(cos2_k, sin2_k, lam: float):
+    """Upper-band energy 2*sqrt(cos^2 k + lam^2 sin^2 k) at alpha = e^{ik}; broadcasts."""
+    return 2.0 * np.sqrt(cos2_k + lam**2 * sin2_k)
+
+
+def _squared_energy(a: complex, lam: float) -> complex:
+    """E^2 of the two-band dispersion at any nonzero alpha."""
+    return ((1 + a * a) / a) ** 2 - lam**2 * ((a * a - 1) / a) ** 2
+
+
+def _bloch_second_components(alpha, lam: float, energy):
+    """Odd-site Bloch components (v_plus, v_minus) of the even-site-1 gauge; broadcasts.
+
+    With ``energy = 1`` they are the numerators E*v that stay finite at E = 0.
+    """
+    v_plus = ((1 - lam) + (1 + lam) * (alpha * alpha)) / (energy * alpha)
+    v_minus = ((1 - lam) * alpha + (1 + lam) / alpha) / energy
     return v_plus, v_minus
+
+
+def _bloch_second_derivatives(alpha, lam: float, d_alpha, energy):
+    """lambda-derivatives of (v_plus, v_minus); broadcasts.
+
+    Both denominators are the derivatives' exact rational forms (the
+    alpha -> 1/alpha image fixes the sign of the second one).
+    """
+    a2 = alpha * alpha
+    num = (1 - a2 * a2 - 4 * lam * d_alpha * alpha) / (energy * alpha)
+    d_plus = num / ((lam - 1) * a2 - (1 + lam))
+    d_minus = num / ((1 + lam) * a2 + (1 - lam))
+    return d_plus, d_minus
 
 
 def _on_zero_mode_manifold(alpha: complex, lam: float) -> bool:
@@ -165,28 +195,82 @@ def ssh_bloch(alpha: complex, lam: float, s: int) -> BlochPair:
             "branch alpha^2 = -(1-lambda)/(1+lambda); pass the inverse alpha for the "
             "other branch"
         )
-    v_plus, v_minus = _bloch_second_components(alpha, lam, energy)
+    v_plus, v_minus = _bloch_second_components(complex(alpha), lam, energy)
     return BlochPair(np.array([1.0, v_plus]), np.array([1.0, v_minus]))
 
 
-def _branch_ratio(spec: LatticeSpec, bloch: BlochPair) -> complex:
-    phi_l_plus = bloch.plus_at(spec.L)
-    phi_l_minus = bloch.minus_at(spec.L)
-    if phi_l_plus == 0:
+def ssh_dalpha(alpha: complex, lam: float, kind: str) -> complex:
+    """d alpha / d lambda of an SSH eigenstate.
+
+    Commensurate band states have their quasimomentum pinned by the walls, so
+    the derivative is zero. For the in-gap state the differentiated local
+    Schroedinger equation gives the closed rational form below, which on the
+    zero-mode branch reduces to -alpha/(1 - lambda^2).
+    """
+    if kind == "bulk":
         return 0.0 + 0.0j
-    if phi_l_minus == 0:
-        raise SingularityError("phi_minus vanishes at the L wall; branch ratio undefined")
-    return phi_l_plus / phi_l_minus
-
-
-def extended_amplitude(spec: LatticeSpec, bloch: BlochPair, alpha: complex, x: int) -> complex:
-    """Unnormalised two-branch amplitude at any site label, walls included."""
+    if kind != "in-gap":
+        raise SingularityError(f"unknown state kind {kind!r}")
+    if abs(lam) < 1e-12 or abs(abs(lam) - 1.0) < 1e-12:
+        raise SingularityError(
+            f"in-gap mode-parameter derivative is singular at lambda={lam}"
+        )
     a = complex(alpha)
-    ratio = _branch_ratio(spec, bloch)
-    value = bloch.plus_at(x) * a**x
-    if ratio != 0:
-        value -= ratio * bloch.minus_at(x) * a ** (2 * spec.L - x)
-    return value
+    a2 = a * a
+    a4 = a2 * a2
+    lam3 = lam**3
+    num = 1 + 2 * a2 + a4 + lam3 - 2 * a2 * lam3 + a4 * lam3
+    den = lam * (a4 - 1) * (lam - 1) * (1 + lam) ** 2
+    return -a * num / den
+
+
+def ssh_dbloch(
+    alpha: complex, lam: float, d_alpha: complex, energy: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of the two SSH Bloch branches with respect to lambda.
+
+    First components are gauge-pinned to 1 and carry no derivative; the
+    second components differentiate the closed Bloch forms.
+    """
+    if energy == 0.0:
+        raise SingularityError(
+            "Bloch derivative divides by the energy; use the sublattice-polarized "
+            "path for the zero mode"
+        )
+    d_plus, d_minus = _bloch_second_derivatives(complex(alpha), lam, complex(d_alpha), energy)
+    return np.array([0.0, d_plus]), np.array([0.0, d_minus])
+
+
+def d_norm(record: EigenStateRecord, dpsi_tilde: np.ndarray) -> float:
+    """d N / d lambda from the unnormalised state and its raw derivative.
+
+    Implements -1/2 N^3 sum_x [conj(psi~) d psi~ + psi~ conj(d psi~)]; the
+    bracket is manifestly real, so the result is returned as a float.
+    """
+    n = record.norm
+    psi_tilde = record.coeffs / n
+    overlap = np.vdot(psi_tilde, dpsi_tilde)
+    return float(-(n**3) * overlap.real)
+
+
+def _two_branch(plus_x, minus_x, plus_l, minus_l, alpha_x, alpha_2l_x):
+    """Terms b+ = phi+(x) a^x and b- = (phi+(L)/phi-(L)) phi-(x) a^(2L-x) of psi~ = b+ - b-.
+
+    The ratio takes the Bloch components at the L wall, so it follows the
+    residue of L. Broadcasts over states and sites.
+    """
+    return plus_x * alpha_x, (plus_l / minus_l) * minus_x * alpha_2l_x
+
+
+def extended_amplitude(spec: LatticeSpec, bloch: BlochPair, alpha: complex, x):
+    """Unnormalised two-branch amplitude at site labels ``x``, walls included."""
+    a = complex(alpha)
+    minus_l = bloch.minus_at(spec.L)
+    if minus_l == 0:
+        raise SingularityError("phi_minus vanishes at the L wall; branch ratio undefined")
+    b_plus, b_minus = _two_branch(bloch.plus_at(x), bloch.minus_at(x), bloch.plus_at(spec.L),
+                                  minus_l, a**x, a ** (2 * spec.L - x))
+    return b_plus - b_minus
 
 
 def assemble_state(
@@ -203,14 +287,7 @@ def assemble_state(
     then makes the site phases lambda-independent for the in-gap state.
     """
     a = complex(alpha)
-    xs = spec.sites()
-    tau = bloch.tau
-    phi_p = bloch.phi_plus[xs % tau]
-    phi_m = bloch.phi_minus[xs % tau]
-    ratio = _branch_ratio(spec, bloch)
-    psi_t = phi_p * a**xs
-    if ratio != 0:
-        psi_t = psi_t - ratio * phi_m * a ** (2 * spec.L - xs)
+    psi_t = extended_amplitude(spec, bloch, a, spec.sites())
     nrm = float(np.linalg.norm(psi_t))
     if nrm == 0 or not np.isfinite(nrm):
         raise SingularityError(f"degenerate state assembly at alpha={a}")
@@ -243,10 +320,6 @@ def ssh_lambda_of(spec: LatticeSpec) -> float:
     return float(lam)
 
 
-# ---------------------------------------------------------------------------
-# In-gap (zero-mode) machinery
-# ---------------------------------------------------------------------------
-
 def zero_mode_sublattice_sign(spec: LatticeSpec) -> float:
     """+1 when the populated sublattice is the even one (odd walls)."""
     return 1.0 if (spec.x0 + 1) % 2 == 0 else -1.0
@@ -265,28 +338,69 @@ def zero_mode_internal_alpha(spec: LatticeSpec, lam: float) -> complex:
     return 1j * math.sqrt((1 - sigma * lam) / (1 + sigma * lam))
 
 
+@functools.lru_cache(maxsize=16)
+def _geometry(L: int, x0: int) -> SimpleNamespace:
+    """lambda-independent arrays of a chain, shared read-only between calls.
+
+    Per-quasimomentum arrays (k < pi/2) are columns, so they broadcast
+    against the per-site rows.
+    """
+    xs = np.arange(x0 + 1, L)
+    span = L - x0
+    ks = np.pi * np.arange(1, span) / span
+    ks = ks[ks < np.pi / 2 - 1e-12][:, None]
+    odd = xs % 2 == 1
+    populated = (xs % 2) == ((x0 + 1) % 2)
+    geometry = SimpleNamespace(
+        xs=xs,
+        odd=odd,                                   # sites of the second Bloch component
+        sign_flip=np.where(odd, -1.0, 1.0),        # band 1 is band 0 with odd sites negated
+        l_odd=L % 2 == 1,                          # the L wall sits on an odd site
+        alpha=np.exp(1j * ks),
+        cos2_k=np.cos(ks) ** 2,
+        sin2_k=np.sin(ks) ** 2,
+        alpha_x=np.exp(1j * ks * xs),
+        alpha_2l_x=np.exp(1j * ks * (2 * L - xs)),
+        populated=populated,                       # zero-mode sublattice
+        xp=xs[populated],
+        zero_phases=1j ** (xs[populated].astype(float)),
+    )
+    for value in vars(geometry).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return geometry
+
+
+def _zero_mode(spec: LatticeSpec, lam: float):
+    """Normalised zero mode, its projected lambda-derivative, |alpha|, x_ref and profile norm.
+
+    Amplitudes alpha^x on the populated sublattice, shifted to the end x_ref
+    the state is bound to so large chains do not overflow. d alpha/alpha is
+    the same on every site, so the derivative is psi(x) (x - <x>) dlog alpha.
+    """
+    geo = _geometry(spec.L, spec.x0)
+    a_int = abs(zero_mode_internal_alpha(spec, lam))
+    x_ref = geo.xp[0] if a_int <= 1.0 else geo.xp[-1]
+    psi = np.zeros(spec.n_sites, dtype=complex)
+    psi[geo.populated] = np.exp((geo.xp - x_ref) * math.log(a_int)) * geo.zero_phases
+    nrm = float(np.linalg.norm(psi))
+    psi /= nrm
+    dlog_alpha = -zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
+    mean_x = float(np.sum(geo.xs * np.abs(psi) ** 2))
+    dpsi = psi * ((geo.xs - mean_x) * dlog_alpha)
+    return psi, dpsi, a_int, x_ref, nrm
+
+
 def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
     """Exact zero-energy edge state of an odd-length commensurate SSH chain.
 
     Assembled from the sublattice-polarized recursion (amplitudes alpha^x on
     one parity, zero on the other), which is the regular limit of the
-    two-branch form at zero energy. Amplitudes are evaluated with a shifted
-    exponent so large chains at strong dimerisation do not overflow.
+    two-branch form at zero energy.
     """
     _require_ssh(spec, lam)
-    alpha_int = zero_mode_internal_alpha(spec, lam)
-    a_int = abs(alpha_int)
-    xs = spec.sites()
-    populated = (xs % 2) == ((spec.x0 + 1) % 2)
-    xp = xs[populated]
-    x_ref = xp[0] if a_int <= 1.0 else xp[-1]
+    psi, _, a_int, x_ref, nrm = _zero_mode(spec, lam)
     log_a = math.log(a_int)
-    profile = np.exp((xp - x_ref) * log_a)
-    phases = 1j ** (xp.astype(float))
-    psi = np.zeros(spec.n_sites, dtype=complex)
-    psi[populated] = profile * phases
-    nrm = float(np.linalg.norm(psi))
-    psi /= nrm
     with np.errstate(over="ignore", under="ignore"):
         norm_factor = math.exp(-x_ref * log_a) / nrm if abs(x_ref * log_a) < 700 else 0.0
     a_rep = a_int if a_int <= 1.0 else 1.0 / a_int
@@ -310,10 +424,8 @@ def _edge_residual(a: float, lam: float, L: int, x0: int, t_first: float) -> flo
     expression whose imaginary part changes sign exactly once on (0, 1).
     """
     alpha = 1j * a
-    a2 = alpha * alpha
-    e2 = ((1 + a2) / alpha) ** 2 - lam**2 * ((a2 - 1) / alpha) ** 2
-    n_plus = ((1 + a2) - lam * (1 - a2)) / alpha
-    n_minus = (alpha + 1 / alpha) - lam * (alpha - 1 / alpha)
+    e2 = _squared_energy(alpha, lam)
+    n_plus, n_minus = _bloch_second_components(alpha, lam, 1.0)
     p_outer = alpha ** (2 * (L - x0 - 1))
     p_inner = alpha ** (2 * (L - x0 - 2))
     r = e2 * (n_minus - n_plus * p_outer) - t_first * n_plus * n_minus * alpha * (1 - p_inner)
@@ -393,38 +505,66 @@ def _require_ssh(spec: LatticeSpec, lam: float | None):
         raise InvalidSpecError(f"spec encodes lambda={found}, caller passed {lam}")
 
 
+def basis_and_derivatives(spec: LatticeSpec, lam: float):
+    """All M states of a commensurate odd-length SSH chain and their derivatives.
+
+    Returns (energies, states, derivatives, branch_norms). Rows run over band
+    0 at the quasimomenta k < pi/2, then band 1 (band 0 with the odd-site
+    amplitudes negated), then the zero mode. ``states`` are normalized,
+    ``derivatives`` are parallel-transport projected (<psi|d psi> = 0), and
+    ``branch_norms`` holds |psi~| of the unnormalised band-0 rows, which band
+    1 shares. Band states have wall-pinned quasimomenta (d alpha = 0), so only
+    the Bloch components move: with A = dlog phi+(x) and
+    B = dlog phi+(L) - dlog phi-(L) + dlog phi-(x), psi~ = b+ - b- has the raw
+    derivative b+ A - b- B.
+    """
+    _require_ssh(spec, lam)
+    if not spec.is_commensurate:
+        raise UnsupportedPathError("closed-form basis requires a commensurate chain")
+    geo = _geometry(spec.L, spec.x0)
+    energy = _band_energy(geo.cos2_k, geo.sin2_k, lam)
+    v_plus, v_minus = _bloch_second_components(geo.alpha, lam, energy)
+    d_plus, d_minus = _bloch_second_derivatives(geo.alpha, lam, 0.0, energy)
+    dlog_plus, dlog_minus = d_plus / v_plus, d_minus / v_minus
+    plus_l, minus_l, dlog_ratio = 1.0, 1.0, 0.0
+    if geo.l_odd:
+        plus_l, minus_l, dlog_ratio = v_plus, v_minus, dlog_plus - dlog_minus
+    odd = geo.odd
+    b_plus, b_minus = _two_branch(np.where(odd, v_plus, 1.0), np.where(odd, v_minus, 1.0),
+                                  plus_l, minus_l, geo.alpha_x, geo.alpha_2l_x)
+    psi_t = b_plus - b_minus
+    dpsi_t = (b_plus * np.where(odd, dlog_plus, 0.0)
+              - b_minus * (dlog_ratio + np.where(odd, dlog_minus, 0.0)))
+    norms = np.linalg.norm(psi_t, axis=1, keepdims=True)
+    p0 = psi_t / norms
+    dp0 = dpsi_t / norms
+    dp0 -= np.sum(p0.conj() * dp0, axis=1, keepdims=True) * p0
+    psi, dpsi = _zero_mode(spec, lam)[:2]
+    energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
+    states = np.concatenate((p0, p0 * geo.sign_flip, psi[None, :]))
+    derivatives = np.concatenate((dp0, dp0 * geo.sign_flip, dpsi[None, :]))
+    return energies, states, derivatives, norms[:, 0]
+
+
 def full_basis(spec: LatticeSpec, lam: float) -> list[EigenStateRecord]:
     """All M eigenstates of a commensurate odd-length SSH chain.
 
     Both energy signs over the quasimomenta in (0, pi/2) give the M-1 band
     states (the reflected momenta k > pi/2 reproduce the same states up to a
     phase), and the missing k = pi/2 slot is the in-gap zero mode. Records are
-    sorted by (energy, quasimomentum).
+    sorted by energy; no two are degenerate.
     """
-    _require_ssh(spec, lam)
-    if not spec.is_commensurate:
-        raise UnsupportedPathError("closed-form basis requires a commensurate chain")
-    ks = bulk_quasimomenta(spec)
-    ks = ks[ks < np.pi / 2 - 1e-12]
-    records = []
-    for k in ks:
-        alpha = cmath.exp(1j * k)
-        for s in (0, 1):
-            energy = ssh_energy(alpha, lam, s)
-            bloch = ssh_bloch(alpha, lam, s)
-            records.append(assemble_state(spec, bloch, alpha, energy, band=s, kind="bulk"))
+    energies, states, _, branch_norms = basis_and_derivatives(spec, lam)
+    alphas = _geometry(spec.L, spec.x0).alpha[:, 0]
+    n_k = len(alphas)
+    records = [
+        EigenStateRecord(alpha=complex(alphas[i % n_k]), band=i // n_k,
+                         energy=float(energies[i]), coeffs=states[i],
+                         norm=1.0 / float(branch_norms[i % n_k]), kind="bulk")
+        for i in range(2 * n_k)
+    ]
     records.append(in_gap_record(spec, lam))
-
-    def sort_key(rec: EigenStateRecord):
-        k_eff = cmath.phase(rec.alpha) if rec.kind == "bulk" else math.pi / 2
-        return (rec.energy, k_eff)
-
-    return sorted(records, key=sort_key)
-
-
-def basis_matrix(records: list[EigenStateRecord]) -> np.ndarray:
-    """Stack record amplitudes as rows (one row per state)."""
-    return np.array([rec.coeffs for rec in records])
+    return sorted(records, key=lambda rec: rec.energy)
 
 
 def eigen_residual(spec: LatticeSpec, record: EigenStateRecord) -> float:

@@ -47,6 +47,13 @@ def fd_state_derivative(m_sites, lam, record, step=1e-6, x0=-1):
     return (out[0] - out[1]) / (2 * step)
 
 
+def snapshot_rows(spec, lam):
+    """Closed-form state and derivative rows, reordered to match ``full_basis``."""
+    energies, states, derivatives, _ = cdl.basis_and_derivatives(spec, lam)
+    order = np.argsort(energies)
+    return states[order], derivatives[order]
+
+
 def project_out(state, vector):
     """Remove the component of ``vector`` along ``state``."""
     return vector - np.vdot(state, vector) * state

@@ -5,7 +5,7 @@ import pytest
 
 import cdlattice as cdl
 from cdlattice.errors import SingularityError
-from conftest import builder, fd_state_derivative, project_out
+from conftest import builder, fd_state_derivative, project_out, snapshot_rows
 
 FD_STEP = 1e-6
 
@@ -81,13 +81,13 @@ def test_dbloch_rejects_zero_energy():
 def test_d_norm_zero_for_band_states():
     lam = 0.8
     spec = cdl.ssh_spec(11, -1, lam)
-    record = next(r for r in cdl.full_basis(spec, lam) if r.kind == "bulk")
-    bundle = cdl.derivative_bundle(spec, lam, record)
-    assert bundle.d_norm == 0.0
-    assert bundle.d_alpha == 0.0
-    # evaluating the defining sum explicitly also gives zero
+    basis = cdl.full_basis(spec, lam)
+    index, record = next((i, r) for i, r in enumerate(basis) if r.kind == "bulk")
+    states, derivatives = snapshot_rows(spec, lam)
+    np.testing.assert_allclose(states[index], record.coeffs, atol=1e-14)
+    # evaluating the defining sum explicitly gives zero
     psi_tilde = record.coeffs / record.norm
-    dpsi_tilde = bundle.dpsi / record.norm  # projected derivative, same norm content
+    dpsi_tilde = derivatives[index] / record.norm  # projected derivative, same norm content
     paired = np.sum(psi_tilde.conj() * dpsi_tilde + psi_tilde * dpsi_tilde.conj())
     assert abs(paired.imag) <= 1e-10
     assert abs(cdl.d_norm(record, dpsi_tilde)) <= 1e-10
@@ -105,8 +105,6 @@ def test_d_norm_matches_finite_difference(lam):
     down = cdl.in_gap_record(make(lam - FD_STEP), lam - FD_STEP).norm
     fd = (up - down) / (2 * FD_STEP)
     assert abs(value - fd) / abs(fd) <= 1e-6
-    bundle = cdl.derivative_bundle(make(lam), lam, record)
-    assert bundle.d_norm == pytest.approx(value, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -115,25 +113,23 @@ def test_d_norm_matches_finite_difference(lam):
 
 def test_kernel_diagonal_sums_vanish(ssh11_09):
     spec, lam = ssh11_09
-    for record in cdl.full_basis(spec, lam):
-        bundle = cdl.derivative_bundle(spec, lam, record)
-        theta = cdl.cd_kernel(record, bundle)
+    for psi, dpsi in zip(*snapshot_rows(spec, lam)):
+        theta = np.outer(dpsi, psi.conj())
         assert abs(np.trace(theta)) <= 1e-10
 
 
 def test_kernel_rank_one_norm_identity(ssh11_09):
     spec, lam = ssh11_09
-    record = cdl.full_basis(spec, lam)[3]
-    bundle = cdl.derivative_bundle(spec, lam, record)
-    theta = cdl.cd_kernel(record, bundle)
-    assert np.linalg.norm(theta) == pytest.approx(np.linalg.norm(bundle.dpsi), rel=1e-12)
+    states, derivatives = snapshot_rows(spec, lam)
+    theta = np.outer(derivatives[3], states[3].conj())
+    assert np.linalg.norm(theta) == pytest.approx(np.linalg.norm(derivatives[3]), rel=1e-12)
 
 
 def test_kernel_in_gap_concentrated_at_populated_edge(ssh11_09):
     spec, lam = ssh11_09
-    record = cdl.in_gap_record(spec, lam)
-    bundle = cdl.derivative_bundle(spec, lam, record)
-    weight = np.abs(cdl.cd_kernel(record, bundle)) ** 2
+    _, states, derivatives, _ = cdl.basis_and_derivatives(spec, lam)
+    np.testing.assert_array_equal(states[-1], cdl.in_gap_record(spec, lam).coeffs)
+    weight = np.abs(np.outer(derivatives[-1], states[-1].conj())) ** 2
     half = spec.n_sites // 2 + 1
     assert weight[:half, :half].sum() / weight.sum() >= 0.99
 
@@ -141,18 +137,19 @@ def test_kernel_in_gap_concentrated_at_populated_edge(ssh11_09):
 def test_kernel_matches_gauge_fixed_finite_difference(ssh11_09):
     spec, lam = ssh11_09
     record = cdl.full_basis(spec, lam)[5]
-    bundle = cdl.derivative_bundle(spec, lam, record)
+    states, derivatives = snapshot_rows(spec, lam)
+    np.testing.assert_allclose(states[5], record.coeffs, atol=1e-14)
     fd = fd_state_derivative(11, lam, record, step=FD_STEP)
     fd = project_out(record.coeffs, fd)
     theta_fd = np.outer(fd, record.coeffs.conj())
-    assert np.max(np.abs(cdl.cd_kernel(record, bundle) - theta_fd)) <= 1e-6
+    theta = np.outer(derivatives[5], states[5].conj())
+    assert np.max(np.abs(theta - theta_fd)) <= 1e-6
 
 
 def test_bundle_derivative_orthogonal_to_state(ssh11_09):
     spec, lam = ssh11_09
-    for record in cdl.full_basis(spec, lam):
-        bundle = cdl.derivative_bundle(spec, lam, record)
-        assert abs(np.vdot(record.coeffs, bundle.dpsi)) <= 1e-12
+    for psi, dpsi in zip(*snapshot_rows(spec, lam)):
+        assert abs(np.vdot(psi, dpsi)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +166,8 @@ def test_full_generator_hermitian_with_zero_diagonal(ssh11_09):
 
 def test_full_generator_raw_sum_residual(ssh11_09):
     spec, lam = ssh11_09
-    raw = np.zeros((11, 11), dtype=complex)
-    for record in cdl.full_basis(spec, lam):
-        raw += cdl.cd_kernel(record, cdl.derivative_bundle(spec, lam, record))
-    raw = 1j * raw
+    _, states, derivatives, _ = cdl.basis_and_derivatives(spec, lam)
+    raw = 1j * derivatives.T @ states.conj()
     assert cdl.hermiticity_residual(raw) <= 1e-10 * np.max(np.abs(raw))
     diag = np.max(np.abs(np.diag(raw)))
     assert diag <= 1e-10 * np.max(np.abs(raw))
@@ -203,26 +198,6 @@ def test_full_generator_norm_peaks_at_gap_closing():
     peak = cdl.frobenius_norm(cdl.full_cd(make(1e-3), 1e-3).matrix)
     away = cdl.frobenius_norm(cdl.full_cd(make(0.9), 0.9).matrix)
     assert peak >= 10 * away
-
-
-def test_theta_moduli_insensitive_to_state_phase(ssh11_09):
-    spec, lam = ssh11_09
-    basis = cdl.full_basis(spec, lam)
-
-    def total(records):
-        out = np.zeros((11, 11), dtype=complex)
-        for r in records:
-            out += cdl.cd_kernel(r, cdl.derivative_bundle(spec, lam, r))
-        return out
-
-    reference = total(basis)
-    rotated = list(basis)
-    r = rotated[4]
-    rotated[4] = cdl.EigenStateRecord(
-        alpha=r.alpha, band=r.band, energy=r.energy,
-        coeffs=r.coeffs * cmath.exp(0.7j), norm=r.norm, kind=r.kind,
-    )
-    assert np.max(np.abs(np.abs(total(rotated)) - np.abs(reference))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +237,47 @@ def test_targeted_matches_full_on_transitions_out_of_edge_state(ssh11_09):
         lhs = np.vdot(record.coeffs, targeted_m @ edge.coeffs)
         rhs = np.vdot(record.coeffs, full_m @ edge.coeffs)
         assert abs(lhs - rhs) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# dense oracle on every wall parity
+# ---------------------------------------------------------------------------
+
+def dense_cd_oracle(spec, lam):
+    """<m|A|n> = i<m|dH|n>/(E_n - E_m) from a dense eigendecomposition.
+
+    The bonds 1 - lam*(-1)^x are linear in lam, so dH/dlam is exact.
+    """
+    w, v = np.linalg.eigh(cdl.build_hamiltonian(spec))
+    bonds = np.arange(spec.x0 + 1, spec.L - 1)
+    dh = np.diag(-np.where(bonds % 2 == 0, 1.0, -1.0), 1).astype(complex)
+    dh += dh.T
+    gaps = w[None, :] - w[:, None]
+    np.fill_diagonal(gaps, 1.0)
+    coupling = 1j * (v.conj().T @ dh @ v) / gaps
+    np.fill_diagonal(coupling, 0.0)
+    return v @ coupling @ v.conj().T
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.3, -0.5, 0.0, 1e-3, -0.97])
+@pytest.mark.parametrize("m_sites", [11, 13, 21])
+@pytest.mark.parametrize("x0", [-2, -1, 0, 1])
+def test_generators_match_dense_oracle_on_both_wall_parities(x0, m_sites, lam):
+    spec = cdl.ssh_spec(m_sites + x0 + 1, x0, lam)
+    oracle = dense_cd_oracle(spec, lam)
+    scale = np.max(np.abs(oracle))
+    full = cdl.full_cd(spec, lam).matrix
+    assert np.max(np.abs(full - oracle)) <= 1e-10 * scale
+    psi = cdl.in_gap_record(spec, lam).coeffs
+    column = oracle @ psi
+    targeted = cdl.targeted_cd(spec, lam).matrix @ psi
+    assert np.max(np.abs(targeted - column)) <= 1e-10 * np.max(np.abs(column))
+
+
+def test_geometry_cache_is_bounded():
+    from cdlattice.states import _geometry
+
+    bound = _geometry.cache_info().maxsize
+    for m_sites in range(11, 11 + 2 * (bound + 2), 2):
+        cdl.full_cd(cdl.ssh_spec(m_sites, -1, 0.5), 0.5)
+    assert _geometry.cache_info().currsize == bound

@@ -96,6 +96,13 @@ def test_cd_spectrum_subcommand(tmp_path):
     assert len(rows) == 7 * 11
 
 
+def test_cd_spectrum_default_grid_avoids_singular_points(tmp_path):
+    out = tmp_path / "cdspec.csv"
+    assert main(["cd-spectrum", "--sites", "11", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 198 * 11
+
+
 def test_gap_scaling_subcommand(tmp_path):
     out = tmp_path / "gap.csv"
     assert main(["gap-scaling", "--lambda", "0.0018", "--sizes", "51:101:50",
@@ -120,6 +127,24 @@ def test_singularity_abort_exits_three(tmp_path):
                  "--time", "1", "--cd", "targeted", "--dt", "1e-2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_structure_check_failure_exits_three(tmp_path, monkeypatch):
+    def failing(spec, lam):
+        raise ArithmeticError("anti-Hermitian residual too large")
+
+    monkeypatch.setattr("cdlattice.dynamics.full_cd", failing)
+    code = main(["transfer", "--sites", "11", "--cd", "full", "--dt", "1e-2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+
+
+def test_full_cd_transfer_on_even_wall(tmp_path):
+    out = tmp_path / "transfer.csv"
+    assert main(["transfer", "--sites", "11", "--x0", "0", "--cd", "full", "--dt", "1e-3",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][1]) >= 1 - 1e-6
 
 
 def test_byte_identical_reruns(tmp_path):
