@@ -187,12 +187,12 @@ def cmd_transfer(args) -> int:
     if args.trace:
         result = propagate(build, protocol, dt, trace_every=max(1, args.trace))
         rows = [
-            (r["t"], r["lambda"], r["fidelity_to_instantaneous"], r["norm"])
+            (r["t"], r["lambda"], r["fidelity_to_instantaneous"], r["norm"], r["energy"])
             for r in result.trace
         ]
         write_csv(args.out or "transfer_trace.csv", "transfer",
                   {**config, "trace": args.trace},
-                  ["t", "lambda", "fidelity_to_instantaneous", "norm"], rows)
+                  ["t", "lambda", "fidelity_to_instantaneous", "norm", "energy"], rows)
         return 0
     result = propagate(build, protocol, dt)
     d_eff = args.diagonals if args.diagonals is not None else args.sites - 1

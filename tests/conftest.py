@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -63,3 +65,29 @@ def project_out(state, vector):
 def ssh11_09():
     spec = cdl.ssh_spec(11, -1, 0.9)
     return spec, 0.9
+
+
+def dense_midpoint_propagate(spec_builder, protocol, dt):
+    """Reference propagator: the midpoint rule through a dense ``eigh`` per step.
+
+    Same step count, midpoints and Hamiltonian as ``propagate``; only the
+    exponential differs. Returns the final state.
+    """
+    steps = max(2, math.ceil(protocol.total_time / dt))
+    steps += steps % 2
+    dt_eff = protocol.total_time / steps
+    psi = cdl.in_gap_record(spec_builder(protocol.lambda0), protocol.lambda0).coeffs.copy()
+    for j in range(steps):
+        s_mid = (j + 0.5) / steps
+        lam_mid = protocol.lambda0 * (1.0 - s_mid) + protocol.lambdaf * s_mid
+        spec_mid = spec_builder(lam_mid)
+        h = cdl.build_hamiltonian(spec_mid)
+        if protocol.cd_mode != "none":
+            make = cdl.full_cd if protocol.cd_mode == "full" else cdl.targeted_cd
+            gen = make(spec_mid, lam_mid).matrix
+            if protocol.band_limit is not None:
+                gen = cdl.band_limit(gen, protocol.band_limit)
+            h = h + protocol.rate * gen
+        w, v = np.linalg.eigh(h)
+        psi = v @ (np.exp(-1j * w * dt_eff) * (v.conj().T @ psi))
+    return psi

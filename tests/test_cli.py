@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,9 +78,10 @@ def test_transfer_trace_schema(tmp_path):
     assert main(["transfer", "--sites", "11", "--time", "1", "--cd", "targeted",
                  "--dt", "1e-3", "--trace", "100", "--out", str(out)]) == 0
     columns, rows = read_csv(out)
-    assert columns == ["t", "lambda", "fidelity_to_instantaneous", "norm"]
+    assert columns == ["t", "lambda", "fidelity_to_instantaneous", "norm", "energy"]
     assert len(rows) == 10
     assert all(abs(float(r[3]) - 1.0) <= 1e-8 for r in rows)
+    assert all(abs(float(r[4])) <= 1e-4 for r in rows)  # stays on the zero mode
 
 
 def test_transfer_d_sweep(tmp_path):
@@ -127,6 +134,25 @@ def test_singularity_abort_exits_three(tmp_path):
                  "--time", "1", "--cd", "targeted", "--dt", "1e-2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_absurd_step_exits_two_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["transfer", "--sites", "11", "--time", "1e9", "--dt", "1e9",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "theta" in err and "dt=" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    probe = "import sys, cdlattice.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_structure_check_failure_exits_three(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 import cdlattice as cdl
 from cdlattice.dynamics import Protocol, convergence_sweep, default_dt, propagate
 from cdlattice.errors import InvalidSpecError, SingularityError
-from conftest import builder
+from conftest import builder, dense_midpoint_propagate
 
 
 def test_fidelity_basics():
@@ -88,6 +88,40 @@ def test_truncation_recovers_limits():
     f_full = propagate(make, Protocol(0.9, -0.9, 1.0, cd_mode="full"), dt).fidelity
     f_dmax = propagate(make, Protocol(0.9, -0.9, 1.0, cd_mode="full", band_limit=10), dt).fidelity
     assert abs(f_dmax - f_full) <= 1e-10
+
+
+@pytest.mark.parametrize("m_sites", [11, 21])
+@pytest.mark.parametrize("x0", [-1, 0])
+@pytest.mark.parametrize("mode,d", [("none", None), ("targeted", None), ("full", None),
+                                    ("full", 0), ("full", 3)])
+@pytest.mark.parametrize("total_time,dt", [(1.0, 0.05), (10.0, 0.5), (10.0, 2.5), (0.1, 1e-3)])
+def test_step_matches_dense_midpoint_oracle(m_sites, x0, mode, d, total_time, dt):
+    # dt 0.5 takes up to 2 Taylor substeps per step, dt 2.5 up to 9
+    protocol = Protocol(0.9, -0.9, total_time, cd_mode=mode, band_limit=d)
+    make = builder(m_sites, x0)
+    psi = propagate(make, protocol, dt).final_state
+    assert np.linalg.norm(psi - dense_midpoint_propagate(make, protocol, dt)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["none", "full"])
+def test_trace_energy_matches_dense_expectation(mode):
+    protocol = Protocol(0.9, -0.9, 1.0, cd_mode=mode)
+    make = builder(11, 0)
+    result = propagate(make, protocol, 0.05, trace_every=20)
+    assert len(result.trace) == 1  # the last step, where the state is final_state
+    psi = result.final_state
+    dense = np.vdot(psi, cdl.build_hamiltonian(make(protocol.lambdaf)) @ psi).real
+    assert abs(result.trace[-1]["energy"] - dense) <= 1e-12
+
+
+def test_non_finite_generator_aborts(monkeypatch):
+    def poisoned(spec, lam):
+        m = spec.n_sites
+        return cdl.cd.GaugePotentialMatrix(np.full((m, m), np.nan), "targeted", lam)
+
+    monkeypatch.setattr("cdlattice.dynamics.targeted_cd", poisoned)
+    with pytest.raises(SingularityError, match="non-finite"):
+        propagate(builder(11), Protocol(0.9, -0.9, 1.0, cd_mode="targeted"), 1e-2)
 
 
 def test_drive_through_vanished_bond_aborts():
