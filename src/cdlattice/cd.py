@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SingularityError
 from .lattice import LatticeSpec, hermiticity_residual, hermitize
-from .states import _require_ssh, _zero_mode, basis_and_derivatives
+from .states import _zero_mode_and_derivative, basis_and_derivatives
 
 _STRUCTURE_TOL = 1e-10
 
@@ -80,8 +80,7 @@ def targeted_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     i(theta - theta^dagger) for the single targeted state: exactly Hermitian
     by construction and of rank at most 2.
     """
-    _require_ssh(spec, lam)
-    psi, dpsi = _zero_mode(spec, lam)[:2]
+    psi, dpsi = _zero_mode_and_derivative(spec, lam)
     theta = np.outer(dpsi, psi.conj())
     raw = 1j * (theta - theta.conj().T)
     return _finalize_generator(raw, "targeted", lam)

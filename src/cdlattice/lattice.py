@@ -63,19 +63,6 @@ class LatticeSpec:
         """Site labels x0+1 .. L-1 in matrix-row order."""
         return np.arange(self.x0 + 1, self.L)
 
-    def index(self, x: int) -> int:
-        """Matrix row of site label ``x``."""
-        i = x - self.x0 - 1
-        if not 0 <= i < self.n_sites:
-            raise InvalidSpecError(f"site {x} outside chain ({self.x0 + 1}..{self.L - 1})")
-        return i
-
-    def site(self, i: int) -> int:
-        """Site label of matrix row ``i``."""
-        if not 0 <= i < self.n_sites:
-            raise InvalidSpecError(f"row {i} outside 0..{self.n_sites - 1}")
-        return self.x0 + 1 + i
-
     @property
     def is_commensurate(self) -> bool:
         """Whole number of unit cells between the walls, so the Bloch

@@ -1,18 +1,26 @@
-"""Closed-form eigenstates of open 1D crystalline chains.
+"""Closed-form eigenstates of the open SSH chain.
 
-Every eigenstate of a two-band open chain is written as
+Every eigenstate of a two-band open chain has the two-branch form
 
     psi(x) = N * [ phi_plus(x) alpha^x - (phi_plus(L)/phi_minus(L)) phi_minus(x) alpha^(2L-x) ]
 
 where phi_plus/phi_minus are unit-cell Bloch functions associated with alpha
-and 1/alpha, and the mode parameter alpha fully characterises the state:
-|alpha| = 1 for band (bulk) states, 0 < |alpha| < 1 for in-gap bound states.
-The SSH closed forms (two-band dispersion, Bloch components, zero-mode
-sublattice recursion) and their lambda-derivatives live here, each written
-once and broadcasting over numpy arrays, together with the two quantization
-routes: the wall boundary condition for bulk states and the single-site local
-Schroedinger equation for the in-gap state. ``basis_and_derivatives`` builds
-every state of a chain and its derivative from them in one pass.
+and 1/alpha: |alpha| = 1 for band (bulk) states, 0 < |alpha| < 1 for in-gap
+bound states. On a commensurate chain (walls x0 and L an even distance apart)
+the band states sit at alpha = e^{ik}, k = pi*n/(L-x0), where the odd-site
+Bloch components have |v_plus| = |v_minus| = 1. Up to a phase per state the
+two-branch form is then a real standing wave of constant norm sqrt((L-x0)/2):
+
+    sin(k(x-L))          on the sublattice of the walls,
+    sin(k(x-L) - phi_k)  on the other one, with e^{i phi_k} = v_plus (v_plus* for even L).
+
+Only phi_k moves with lambda, so the derivative -phi_k' cos(k(x-L) - phi_k)
+is already parallel transport. The SSH closed forms (two-band dispersion,
+Bloch components, zero-mode sublattice recursion) and their
+lambda-derivatives live here, each written once and broadcasting over numpy
+arrays, together with the single-site local Schroedinger equation that
+quantizes the in-gap state. ``basis_and_derivatives`` builds every state of
+a chain and its derivative from them in one pass.
 """
 
 from __future__ import annotations
@@ -42,9 +50,9 @@ _ZERO_MODE_MANIFOLD_TOL = 1e-8
 class BlochPair:
     """Unit-cell Bloch functions for the alpha^x and alpha^(-x) branches.
 
-    Components are indexed by absolute site parity/residue: ``phi_plus[x % tau]``
-    is the amplitude at site x. The gauge fixes the first component of
-    ``phi_plus`` to 1 wherever that component is nonzero.
+    Components are indexed by absolute site parity: ``phi_plus[x % 2]`` is the
+    amplitude at site x. The gauge fixes the first component of ``phi_plus``
+    to 1 wherever that component is nonzero.
     """
 
     phi_plus: np.ndarray
@@ -60,23 +68,14 @@ class BlochPair:
         object.__setattr__(self, "phi_plus", p)
         object.__setattr__(self, "phi_minus", m)
 
-    @property
-    def tau(self) -> int:
-        return len(self.phi_plus)
-
-    def plus_at(self, x: int) -> complex:
-        return self.phi_plus[x % self.tau]
-
-    def minus_at(self, x: int) -> complex:
-        return self.phi_minus[x % self.tau]
-
 
 @dataclass(frozen=True)
 class EigenStateRecord:
     """One eigenstate: mode parameter, band, energy, site amplitudes, norm factor.
 
     ``norm`` is the prefactor N relating the unnormalised two-branch form to
-    the stored unit-norm ``coeffs``. ``kind`` is 'bulk' or 'in-gap'.
+    the stored unit-norm ``coeffs``; band states are stored in the real gauge,
+    a phase per state away from that form. ``kind`` is 'bulk' or 'in-gap'.
     """
 
     alpha: complex
@@ -92,21 +91,6 @@ class EigenStateRecord:
         object.__setattr__(self, "coeffs", c)
         if self.kind not in ("bulk", "in-gap"):
             raise InvalidSpecError(f"unknown state kind {self.kind!r}")
-
-
-def bulk_quasimomenta(spec: LatticeSpec) -> np.ndarray:
-    """Quasimomenta pi*n/(L-x0), n = 1 .. L-x0-1, of a commensurate chain.
-
-    For a commensurate chain the wall boundary condition alone quantizes the
-    band states, independent of the unit-cell content.
-    """
-    if not spec.is_commensurate:
-        raise UnsupportedPathError(
-            "chain is not commensurate with its unit cell; "
-            "use the generic quantization route (generic_bloch)"
-        )
-    span = spec.L - spec.x0
-    return np.pi * np.arange(1, span) / span
 
 
 def ssh_energy(alpha: complex, lam: float, s: int) -> float:
@@ -253,56 +237,6 @@ def d_norm(record: EigenStateRecord, dpsi_tilde: np.ndarray) -> float:
     return float(-(n**3) * overlap.real)
 
 
-def _two_branch(plus_x, minus_x, plus_l, minus_l, alpha_x, alpha_2l_x):
-    """Terms b+ = phi+(x) a^x and b- = (phi+(L)/phi-(L)) phi-(x) a^(2L-x) of psi~ = b+ - b-.
-
-    The ratio takes the Bloch components at the L wall, so it follows the
-    residue of L. Broadcasts over states and sites.
-    """
-    return plus_x * alpha_x, (plus_l / minus_l) * minus_x * alpha_2l_x
-
-
-def extended_amplitude(spec: LatticeSpec, bloch: BlochPair, alpha: complex, x):
-    """Unnormalised two-branch amplitude at site labels ``x``, walls included."""
-    a = complex(alpha)
-    minus_l = bloch.minus_at(spec.L)
-    if minus_l == 0:
-        raise SingularityError("phi_minus vanishes at the L wall; branch ratio undefined")
-    b_plus, b_minus = _two_branch(bloch.plus_at(x), bloch.minus_at(x), bloch.plus_at(spec.L),
-                                  minus_l, a**x, a ** (2 * spec.L - x))
-    return b_plus - b_minus
-
-
-def assemble_state(
-    spec: LatticeSpec,
-    bloch: BlochPair,
-    alpha: complex,
-    energy: float,
-    band: int = 0,
-    kind: str | None = None,
-) -> EigenStateRecord:
-    """Build the normalized two-branch eigenstate from its Bloch data.
-
-    The norm factor is taken real positive; the first-component-1 Bloch gauge
-    then makes the site phases lambda-independent for the in-gap state.
-    """
-    a = complex(alpha)
-    psi_t = extended_amplitude(spec, bloch, a, spec.sites())
-    nrm = float(np.linalg.norm(psi_t))
-    if nrm == 0 or not np.isfinite(nrm):
-        raise SingularityError(f"degenerate state assembly at alpha={a}")
-    if kind is None:
-        kind = "bulk" if abs(abs(a) - 1.0) <= _UNIT_TOL else "in-gap"
-    return EigenStateRecord(
-        alpha=a,
-        band=band,
-        energy=float(energy),
-        coeffs=psi_t / nrm,
-        norm=1.0 / nrm,
-        kind=kind,
-    )
-
-
 def ssh_lambda_of(spec: LatticeSpec) -> float:
     """Recover lambda from an SSH-patterned spec; rejects anything else."""
     if spec.tau != 2:
@@ -340,30 +274,28 @@ def zero_mode_internal_alpha(spec: LatticeSpec, lam: float) -> complex:
 
 @functools.lru_cache(maxsize=16)
 def _geometry(L: int, x0: int) -> SimpleNamespace:
-    """lambda-independent arrays of a chain, shared read-only between calls.
+    """lambda-independent arrays of a commensurate chain, shared read-only between calls.
 
     Per-quasimomentum arrays (k < pi/2) are columns, so they broadcast
-    against the per-site rows.
+    against the per-site rows. The walls share a parity, so the first site
+    x0+1 and every other one after it (rows ``::2``) form the zero-mode
+    sublattice, where the band states carry their lambda-dependent phase.
     """
     xs = np.arange(x0 + 1, L)
     span = L - x0
     ks = np.pi * np.arange(1, span) / span
     ks = ks[ks < np.pi / 2 - 1e-12][:, None]
-    odd = xs % 2 == 1
-    populated = (xs % 2) == ((x0 + 1) % 2)
+    theta = ks * (xs - L)
     geometry = SimpleNamespace(
         xs=xs,
-        odd=odd,                                   # sites of the second Bloch component
-        sign_flip=np.where(odd, -1.0, 1.0),        # band 1 is band 0 with odd sites negated
-        l_odd=L % 2 == 1,                          # the L wall sits on an odd site
+        sign_flip=np.where(xs % 2 == 1, -1.0, 1.0),  # band 1 is band 0 with odd sites negated
         alpha=np.exp(1j * ks),
         cos2_k=np.cos(ks) ** 2,
         sin2_k=np.sin(ks) ** 2,
-        alpha_x=np.exp(1j * ks * xs),
-        alpha_2l_x=np.exp(1j * ks * (2 * L - xs)),
-        populated=populated,                       # zero-mode sublattice
-        xp=xs[populated],
-        zero_phases=1j ** (xs[populated].astype(float)),
+        sin_theta=np.sin(theta),
+        cos_theta=np.cos(theta[:, ::2]),             # zero-mode sublattice only
+        xp=xs[::2],
+        zero_phases=1j ** (xs[::2].astype(float)),
     )
     for value in vars(geometry).values():
         if isinstance(value, np.ndarray):
@@ -372,23 +304,40 @@ def _geometry(L: int, x0: int) -> SimpleNamespace:
 
 
 def _zero_mode(spec: LatticeSpec, lam: float):
-    """Normalised zero mode, its projected lambda-derivative, |alpha|, x_ref and profile norm.
+    """Normalised zero mode, |alpha|, x_ref and profile norm.
 
-    Amplitudes alpha^x on the populated sublattice, shifted to the end x_ref
-    the state is bound to so large chains do not overflow. d alpha/alpha is
-    the same on every site, so the derivative is psi(x) (x - <x>) dlog alpha.
+    Amplitudes alpha^x on the zero-mode sublattice, shifted to the end x_ref
+    the state is bound to so large chains do not overflow. Only a
+    commensurate (odd-length) chain has a zero mode; every caller of the zero
+    mode comes through this guard.
     """
+    _require_ssh(spec, lam)
+    if not spec.is_commensurate:
+        raise UnsupportedPathError(
+            f"a chain of {spec.n_sites} sites has no zero mode: the closed forms "
+            "need a commensurate chain with an odd site count"
+        )
     geo = _geometry(spec.L, spec.x0)
     a_int = abs(zero_mode_internal_alpha(spec, lam))
     x_ref = geo.xp[0] if a_int <= 1.0 else geo.xp[-1]
     psi = np.zeros(spec.n_sites, dtype=complex)
-    psi[geo.populated] = np.exp((geo.xp - x_ref) * math.log(a_int)) * geo.zero_phases
+    psi[::2] = np.exp((geo.xp - x_ref) * math.log(a_int)) * geo.zero_phases
     nrm = float(np.linalg.norm(psi))
     psi /= nrm
+    return psi, a_int, x_ref, nrm
+
+
+def _zero_mode_and_derivative(spec: LatticeSpec, lam: float):
+    """Zero mode and its projected lambda-derivative.
+
+    d alpha/alpha is the same on every site, so the derivative is
+    psi(x) (x - <x>) dlog alpha.
+    """
+    psi = _zero_mode(spec, lam)[0]
+    xs = _geometry(spec.L, spec.x0).xs
     dlog_alpha = -zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
-    mean_x = float(np.sum(geo.xs * np.abs(psi) ** 2))
-    dpsi = psi * ((geo.xs - mean_x) * dlog_alpha)
-    return psi, dpsi, a_int, x_ref, nrm
+    mean_x = float(np.sum(xs * np.abs(psi) ** 2))
+    return psi, psi * ((xs - mean_x) * dlog_alpha)
 
 
 def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
@@ -398,8 +347,7 @@ def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
     one parity, zero on the other), which is the regular limit of the
     two-branch form at zero energy.
     """
-    _require_ssh(spec, lam)
-    psi, _, a_int, x_ref, nrm = _zero_mode(spec, lam)
+    psi, a_int, x_ref, nrm = _zero_mode(spec, lam)
     log_a = math.log(a_int)
     with np.errstate(over="ignore", under="ignore"):
         norm_factor = math.exp(-x_ref * log_a) / nrm if abs(x_ref * log_a) < 700 else 0.0
@@ -481,24 +429,6 @@ def edge_alpha(spec: LatticeSpec, lam: float) -> complex:
     return 1j * a_root
 
 
-def quantization_residual(spec: LatticeSpec, alpha: complex) -> complex:
-    """Wall-boundary quantization residual alpha^(2(L-x0)) - ratio of Bloch values.
-
-    Vanishes exactly on the admissible band states. Bound states in a gap are
-    NOT roots of this condition; they are fixed by the local single-site
-    equation instead (see ``edge_alpha``), and evaluating this residual at the
-    in-gap alpha gives an O(1) value or a degenerate 0/0 Bloch ratio.
-    """
-    lam = ssh_lambda_of(spec)
-    a = complex(alpha)
-    bloch = ssh_bloch(a, lam, 0)
-    denom = bloch.plus_at(spec.L) * bloch.minus_at(spec.x0)
-    numer = bloch.plus_at(spec.x0) * bloch.minus_at(spec.L)
-    if denom == 0:
-        raise SingularityError("Bloch component vanishes; boundary quantization undefined")
-    return a ** (2 * (spec.L - spec.x0)) - numer / denom
-
-
 def _require_ssh(spec: LatticeSpec, lam: float | None):
     found = ssh_lambda_of(spec)
     if lam is not None and abs(found - lam) > 1e-10:
@@ -510,40 +440,33 @@ def basis_and_derivatives(spec: LatticeSpec, lam: float):
 
     Returns (energies, states, derivatives, branch_norms). Rows run over band
     0 at the quasimomenta k < pi/2, then band 1 (band 0 with the odd-site
-    amplitudes negated), then the zero mode. ``states`` are normalized,
-    ``derivatives`` are parallel-transport projected (<psi|d psi> = 0), and
-    ``branch_norms`` holds |psi~| of the unnormalised band-0 rows, which band
-    1 shares. Band states have wall-pinned quasimomenta (d alpha = 0), so only
-    the Bloch components move: with A = dlog phi+(x) and
-    B = dlog phi+(L) - dlog phi-(L) + dlog phi-(x), psi~ = b+ - b- has the raw
-    derivative b+ A - b- B.
+    amplitudes negated), then the zero mode. With theta = k(x-L), a band-0
+    row is sin(theta) on the wall sublattice and sin(theta - phi_k) on the
+    zero-mode one, where cos phi_k = Re v_plus and sin phi_k = sigma Im v_plus
+    (sigma = +1 for odd L, -1 for even L). Every row has the norm
+    sqrt((L-x0)/2) at every lambda, so its derivative
+    -phi_k' cos(theta - phi_k), with phi_k' = sigma Im(d v_plus / v_plus),
+    is parallel transport (<psi|d psi> = 0) as it stands. ``branch_norms``
+    holds |psi~| = sqrt(2(L-x0)) of the two-branch form, one per band-0 row.
     """
-    _require_ssh(spec, lam)
-    if not spec.is_commensurate:
-        raise UnsupportedPathError("closed-form basis requires a commensurate chain")
+    psi, dpsi = _zero_mode_and_derivative(spec, lam)
     geo = _geometry(spec.L, spec.x0)
+    sigma = zero_mode_sublattice_sign(spec)
     energy = _band_energy(geo.cos2_k, geo.sin2_k, lam)
-    v_plus, v_minus = _bloch_second_components(geo.alpha, lam, energy)
-    d_plus, d_minus = _bloch_second_derivatives(geo.alpha, lam, 0.0, energy)
-    dlog_plus, dlog_minus = d_plus / v_plus, d_minus / v_minus
-    plus_l, minus_l, dlog_ratio = 1.0, 1.0, 0.0
-    if geo.l_odd:
-        plus_l, minus_l, dlog_ratio = v_plus, v_minus, dlog_plus - dlog_minus
-    odd = geo.odd
-    b_plus, b_minus = _two_branch(np.where(odd, v_plus, 1.0), np.where(odd, v_minus, 1.0),
-                                  plus_l, minus_l, geo.alpha_x, geo.alpha_2l_x)
-    psi_t = b_plus - b_minus
-    dpsi_t = (b_plus * np.where(odd, dlog_plus, 0.0)
-              - b_minus * (dlog_ratio + np.where(odd, dlog_minus, 0.0)))
-    norms = np.linalg.norm(psi_t, axis=1, keepdims=True)
-    p0 = psi_t / norms
-    dp0 = dpsi_t / norms
-    dp0 -= np.sum(p0.conj() * dp0, axis=1, keepdims=True) * p0
-    psi, dpsi = _zero_mode(spec, lam)[:2]
+    v_plus = _bloch_second_components(geo.alpha, lam, energy)[0]
+    d_plus = _bloch_second_derivatives(geo.alpha, lam, 0.0, energy)[0]
+    cos_phi, sin_phi = v_plus.real, sigma * v_plus.imag
+    d_phi = sigma * (d_plus / v_plus).imag
+    scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
+    sin_z, cos_z = geo.sin_theta[:, ::2], geo.cos_theta
+    p0 = geo.sin_theta * scale
+    p0[:, ::2] = (sin_z * cos_phi - cos_z * sin_phi) * scale
+    dp0 = np.zeros_like(p0)
+    dp0[:, ::2] = (cos_z * cos_phi + sin_z * sin_phi) * (-scale * d_phi)
     energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
     states = np.concatenate((p0, p0 * geo.sign_flip, psi[None, :]))
     derivatives = np.concatenate((dp0, dp0 * geo.sign_flip, dpsi[None, :]))
-    return energies, states, derivatives, norms[:, 0]
+    return energies, states, derivatives, np.full(len(energy), math.sqrt(2 * (spec.L - spec.x0)))
 
 
 def full_basis(spec: LatticeSpec, lam: float) -> list[EigenStateRecord]:
@@ -571,48 +494,3 @@ def eigen_residual(spec: LatticeSpec, record: EigenStateRecord) -> float:
     """Max-norm of H psi - E psi for one record."""
     h = build_hamiltonian(spec)
     return float(np.max(np.abs(h @ record.coeffs - record.energy * record.coeffs)))
-
-
-# ---------------------------------------------------------------------------
-# Generic unit-cell route (validation path for arbitrary tau)
-# ---------------------------------------------------------------------------
-
-def generic_bloch(spec: LatticeSpec, alpha: complex, energy: float) -> tuple[float, np.ndarray]:
-    """Bloch components for a trial (alpha, energy) by closing one unit cell.
-
-    Writes the single-branch ansatz phi(x) alpha^x into the local Schroedinger
-    equation at each residue of one cell, imposes periodicity phi(x+tau) =
-    phi(x), and solves the resulting homogeneous system. Returns the smallest
-    singular value (zero iff the trial pair is on the dispersion) and the
-    gauge-fixed null vector. Desk-scale validation path; the SSH closed forms
-    above are the production route.
-    """
-    tau = spec.tau
-    a = complex(alpha)
-    if a == 0:
-        raise DomainError("alpha must be nonzero")
-    sites = spec.sites()
-    bonds = np.arange(spec.x0 + 1, spec.L - 1)
-    # residue-indexed cell pattern, read away from the walls
-    t_res = np.zeros(tau, dtype=complex)
-    mu_res = np.zeros(tau)
-    mid = len(bonds) // 2
-    for r in range(tau):
-        matches = bonds[(bonds % tau) == r]
-        if len(matches) == 0:
-            raise InvalidSpecError("chain too short to contain one full unit cell of bonds")
-        pick = matches[np.argmin(np.abs(matches - bonds[mid]))]
-        t_res[r] = spec.t[pick - (spec.x0 + 1)]
-        site_matches = sites[(sites % tau) == r]
-        mu_res[r] = spec.mu[site_matches[len(site_matches) // 2] - (spec.x0 + 1)]
-    cell = np.zeros((tau, tau), dtype=complex)
-    for r in range(tau):
-        cell[r, (r + 1) % tau] += t_res[r] * a
-        cell[r, (r - 1) % tau] += np.conj(t_res[(r - 1) % tau]) / a
-        cell[r, r] += mu_res[r] - energy
-    _, svals, vh = np.linalg.svd(cell)
-    phi = vh[-1].conj()
-    lead = np.flatnonzero(np.abs(phi) > 1e-12)
-    if len(lead):
-        phi = phi / phi[lead[0]]
-    return float(svals[-1]), phi

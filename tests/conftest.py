@@ -5,6 +5,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import cdlattice as cdl
+from cdlattice.states import (
+    _band_energy,
+    _bloch_second_components,
+    _bloch_second_derivatives,
+    _zero_mode_and_derivative,
+)
 
 settings.register_profile(
     "suite",
@@ -54,6 +60,46 @@ def snapshot_rows(spec, lam):
     energies, states, derivatives, _ = cdl.basis_and_derivatives(spec, lam)
     order = np.argsort(energies)
     return states[order], derivatives[order]
+
+
+def two_branch_snapshot(spec, lam):
+    """Reference snapshot assembled from the paper's two-branch form in complex arithmetic.
+
+    Band-0 rows are psi~(x) = phi+(x) a^x - (phi+(L)/phi-(L)) phi-(x) a^(2L-x)
+    at a = e^{ik}, k < pi/2, in the gauge phi+-(even site) = 1. The walls pin
+    k, so the raw derivative moves only the Bloch components; it is then
+    projected onto <psi|d psi> = 0. Return tuple and row order are those of
+    ``basis_and_derivatives``, whose zero-mode row is reused.
+    """
+    xs = spec.sites()
+    span = spec.L - spec.x0
+    ks = np.pi * np.arange(1, span) / span
+    ks = ks[ks < np.pi / 2 - 1e-12][:, None]
+    alpha = np.exp(1j * ks)
+    energy = _band_energy(np.cos(ks) ** 2, np.sin(ks) ** 2, lam)
+    v_plus, v_minus = _bloch_second_components(alpha, lam, energy)
+    d_plus, d_minus = _bloch_second_derivatives(alpha, lam, 0.0, energy)
+    dlog_plus, dlog_minus = d_plus / v_plus, d_minus / v_minus
+    plus_l, minus_l, dlog_ratio = 1.0, 1.0, 0.0
+    if spec.L % 2 == 1:
+        plus_l, minus_l, dlog_ratio = v_plus, v_minus, dlog_plus - dlog_minus
+    odd = xs % 2 == 1
+    b_plus = np.where(odd, v_plus, 1.0) * np.exp(1j * ks * xs)
+    b_minus = ((plus_l / minus_l) * np.where(odd, v_minus, 1.0)
+               * np.exp(1j * ks * (2 * spec.L - xs)))
+    psi_t = b_plus - b_minus
+    dpsi_t = (b_plus * np.where(odd, dlog_plus, 0.0)
+              - b_minus * (dlog_ratio + np.where(odd, dlog_minus, 0.0)))
+    norms = np.linalg.norm(psi_t, axis=1, keepdims=True)
+    p0 = psi_t / norms
+    dp0 = dpsi_t / norms
+    dp0 -= np.sum(p0.conj() * dp0, axis=1, keepdims=True) * p0
+    psi, dpsi = _zero_mode_and_derivative(spec, lam)
+    flip = np.where(odd, -1.0, 1.0)
+    energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
+    states = np.concatenate((p0, p0 * flip, psi[None, :]))
+    derivatives = np.concatenate((dp0, dp0 * flip, dpsi[None, :]))
+    return energies, states, derivatives, norms[:, 0]
 
 
 def project_out(state, vector):

@@ -165,6 +165,34 @@ def test_structure_check_failure_exits_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["state", "--sites", "10", "--lambda", "0.5"],
+    ["transfer", "--sites", "10", "--cd", "targeted", "--dt", "1e-2"],
+    ["gap-scaling", "--sizes", "10:12:2"],
+    ["cd-matrix", "--mode", "targeted", "--sites", "10", "--lambda", "0.5"],
+], ids=["state", "transfer", "gap-scaling", "cd-matrix"])
+def test_even_chain_has_no_zero_mode(tmp_path, capsys, argv):
+    # an even chain has no zero-energy state to report, drive or target
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert "no zero mode" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_package_exports_only_what_cli_and_gate_use():
+    import re
+
+    import cdlattice
+
+    root = Path(__file__).resolve().parents[1]
+    text = "".join(path.read_text() for path in (
+        root / "src" / "cdlattice" / "cli.py",
+        root / "tests" / "test_acceptance.py",
+        root / "tests" / "conftest.py",
+    ))
+    unused = [name for name in cdlattice.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []
+
+
 def test_full_cd_transfer_on_even_wall(tmp_path):
     out = tmp_path / "transfer.csv"
     assert main(["transfer", "--sites", "11", "--x0", "0", "--cd", "full", "--dt", "1e-3",

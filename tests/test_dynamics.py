@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import cdlattice as cdl
-from cdlattice.dynamics import Protocol, convergence_sweep, default_dt, propagate
+from cdlattice.cd import GaugePotentialMatrix
+from cdlattice.dynamics import Protocol, convergence_sweep, default_dt, fidelity, propagate
 from cdlattice.errors import InvalidSpecError, SingularityError
 from conftest import builder, dense_midpoint_propagate
 
@@ -10,11 +11,11 @@ from conftest import builder, dense_midpoint_propagate
 def test_fidelity_basics():
     a = np.array([1.0, 0.0, 0.0], dtype=complex)
     b = np.array([0.0, 1.0, 0.0], dtype=complex)
-    assert cdl.fidelity(a, a) == 1.0
-    assert cdl.fidelity(a, b) == 0.0
-    assert cdl.fidelity(a, a * np.exp(0.37j)) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(a, a) == 1.0
+    assert fidelity(a, b) == 0.0
+    assert fidelity(a, a * np.exp(0.37j)) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(InvalidSpecError):
-        cdl.fidelity(a, 0.0 * a)
+        fidelity(a, 0.0 * a)
 
 
 def test_band_limit_identity_and_zero():
@@ -117,7 +118,7 @@ def test_trace_energy_matches_dense_expectation(mode):
 def test_non_finite_generator_aborts(monkeypatch):
     def poisoned(spec, lam):
         m = spec.n_sites
-        return cdl.cd.GaugePotentialMatrix(np.full((m, m), np.nan), "targeted", lam)
+        return GaugePotentialMatrix(np.full((m, m), np.nan), "targeted", lam)
 
     monkeypatch.setattr("cdlattice.dynamics.targeted_cd", poisoned)
     with pytest.raises(SingularityError, match="non-finite"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import cdlattice as cdl
 from cdlattice.errors import InvalidSpecError
+from cdlattice.lattice import LatticeSpec, hermitize
 
 
 def test_ssh_spec_alternating_bonds():
@@ -42,13 +43,13 @@ def test_ssh_spec_flags_gapless_coupling():
 
 def test_spec_validation_shapes():
     with pytest.raises(InvalidSpecError):
-        cdl.LatticeSpec(x0=-1, L=4, t=np.ones(5), mu=np.zeros(4), tau=1)
+        LatticeSpec(x0=-1, L=4, t=np.ones(5), mu=np.zeros(4), tau=1)
     with pytest.raises(InvalidSpecError):
-        cdl.LatticeSpec(x0=-1, L=4, t=np.ones(3), mu=np.zeros(2), tau=1)
+        LatticeSpec(x0=-1, L=4, t=np.ones(3), mu=np.zeros(2), tau=1)
 
 
 def test_three_site_uniform_chain_spectrum():
-    spec = cdl.LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
+    spec = LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
     h = cdl.build_hamiltonian(spec)
     # k = pi n / 4 gives E = 2 cos(pi n / 4)
     expected = np.sort([2 * np.cos(np.pi * n / 4) for n in (1, 2, 3)])
@@ -66,14 +67,14 @@ def test_build_hamiltonian_ssh_structure():
 def test_hermitize_identity_on_hermitian_input():
     spec = cdl.ssh_spec(11, -1, 0.3)
     h = cdl.build_hamiltonian(spec)
-    out = cdl.hermitize(h)
+    out = hermitize(h)
     assert cdl.hermiticity_residual(h) == 0.0
     assert np.array_equal(out, h)
 
 
 def test_hermitize_forced_example():
     m = np.array([[0.0, 1j], [0.0, 0.0]])
-    out = cdl.hermitize(m)
+    out = hermitize(m)
     np.testing.assert_allclose(out, np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
     assert cdl.hermiticity_residual(m) == pytest.approx(1.0)
 
@@ -84,15 +85,7 @@ def test_hermitize_full_cd_matrix():
     _, states, derivatives, _ = cdl.basis_and_derivatives(spec, 0.7)
     raw = 1j * derivatives.T @ states.conj()
     assert cdl.hermiticity_residual(raw) <= 1e-10 * np.max(np.abs(raw))
-    assert cdl.hermiticity_residual(cdl.hermitize(raw)) == 0.0
-
-
-@given(m=st.integers(min_value=2, max_value=40), x0=st.integers(min_value=-7, max_value=7))
-def test_site_index_round_trip(m, x0):
-    spec = cdl.LatticeSpec(x0=x0, L=x0 + m + 1, t=np.ones(m - 1, dtype=complex),
-                           mu=np.zeros(m), tau=1)
-    for i in range(spec.n_sites):
-        assert spec.index(spec.site(i)) == i
+    assert cdl.hermiticity_residual(hermitize(raw)) == 0.0
 
 
 @given(

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import cdlattice as cdl
 from cdlattice.errors import InvalidSpecError, NotHermitianError
+from cdlattice.lattice import LatticeSpec
 
 
 def test_eigh_uniform_three_site_chain():
-    spec = cdl.LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
+    spec = LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
     w, v = cdl.eigh(cdl.build_hamiltonian(spec))
     np.testing.assert_allclose(w, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)

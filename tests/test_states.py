@@ -12,30 +12,9 @@ from cdlattice.errors import (
     SingularityError,
     UnsupportedPathError,
 )
-
-
-# ---------------------------------------------------------------------------
-# quasimomenta
-# ---------------------------------------------------------------------------
-
-def test_quasimomenta_standard_chain():
-    ks = cdl.bulk_quasimomenta(cdl.ssh_spec(101, -1, 0.5))
-    assert len(ks) == 101
-    assert ks[50] == pytest.approx(np.pi / 2, abs=1e-15)
-    assert np.all(np.diff(ks) > 0)
-    assert ks[0] > 0 and ks[-1] < np.pi
-
-
-def test_quasimomenta_small_chains():
-    ks = cdl.bulk_quasimomenta(cdl.ssh_spec(11, -1, 0.5))
-    np.testing.assert_allclose(ks, np.pi * np.arange(1, 12) / 12)
-    spec3 = cdl.LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
-    np.testing.assert_allclose(cdl.bulk_quasimomenta(spec3), [np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-
-
-def test_quasimomenta_rejects_incommensurate():
-    with pytest.raises(UnsupportedPathError):
-        cdl.bulk_quasimomenta(cdl.ssh_spec(10, -1, 0.5))
+from cdlattice.lattice import LatticeSpec
+from cdlattice.states import zero_mode_internal_alpha
+from conftest import two_branch_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +24,7 @@ def test_quasimomenta_rejects_incommensurate():
 def test_energy_uniform_chain_against_diagonalization():
     # alpha = e^{i pi/4} exists in the 7-site uniform chain (k = 2 pi / 8)
     e = cdl.ssh_energy(cmath.exp(1j * np.pi / 4), 0.0, 0)
-    spec = cdl.LatticeSpec(x0=-1, L=7, t=np.ones(6, dtype=complex), mu=np.zeros(7), tau=1)
+    spec = LatticeSpec(x0=-1, L=7, t=np.ones(6, dtype=complex), mu=np.zeros(7), tau=1)
     w = np.linalg.eigvalsh(cdl.build_hamiltonian(spec))
     assert np.min(np.abs(w - e)) <= 1e-12
     assert e == pytest.approx(np.sqrt(2.0), abs=1e-14)
@@ -90,10 +69,15 @@ def test_bloch_satisfies_local_equations_on_three_sites():
     bloch = cdl.ssh_bloch(alpha, lam, 0)
     assert bloch.phi_plus[0] == 1.0
     assert bloch.phi_plus[1] == pytest.approx((1 + alpha**2) / (energy * alpha))
+    # the two-branch form built from this pair is an eigenstate of the 3-site chain
     spec = cdl.ssh_spec(3, -1, lam)
-    record = cdl.assemble_state(spec, bloch, alpha, energy)
+    xs, L = spec.sites(), spec.L
+    ratio = bloch.phi_plus[L % 2] / bloch.phi_minus[L % 2]
+    psi = (bloch.phi_plus[xs % 2] * alpha**xs
+           - ratio * bloch.phi_minus[xs % 2] * alpha ** (2 * L - xs))
+    assert np.linalg.norm(psi) > 0.1
     h = cdl.build_hamiltonian(spec)
-    assert np.max(np.abs(h @ record.coeffs - energy * record.coeffs)) <= 1e-12
+    assert np.max(np.abs(h @ psi - energy * psi)) <= 1e-12
 
 
 @given(k=st.floats(min_value=0.05, max_value=np.pi / 2 - 0.05),
@@ -107,7 +91,7 @@ def test_bloch_minus_is_plus_under_alpha_inversion(k, lam):
 
 def test_bloch_zero_mode_polarized_pair():
     lam = 0.999
-    alpha = cdl.zero_mode_internal_alpha(cdl.ssh_spec(101, -1, lam), lam)
+    alpha = zero_mode_internal_alpha(cdl.ssh_spec(101, -1, lam), lam)
     bloch = cdl.ssh_bloch(alpha, lam, 0)
     np.testing.assert_array_equal(bloch.phi_plus, [1.0, 0.0])
     np.testing.assert_array_equal(bloch.phi_minus, [0.0, 1.0])
@@ -162,35 +146,6 @@ def test_edge_alpha_guards():
 # state assembly
 # ---------------------------------------------------------------------------
 
-def test_assembled_bulk_state_is_eigenstate():
-    lam = 0.6
-    spec = cdl.ssh_spec(11, -1, lam)
-    alpha = cmath.exp(1j * np.pi / 12)
-    for s in (0, 1):
-        energy = cdl.ssh_energy(alpha, lam, s)
-        record = cdl.assemble_state(spec, cdl.ssh_bloch(alpha, lam, s), alpha, energy, band=s)
-        assert np.linalg.norm(record.coeffs) == pytest.approx(1.0, abs=1e-12)
-        assert cdl.eigen_residual(spec, record) <= 1e-10
-        assert record.kind == "bulk"
-
-
-def test_assembled_state_vanishes_at_walls():
-    lam = 0.4
-    spec = cdl.ssh_spec(11, -1, lam)
-    alpha = cmath.exp(1j * np.pi / 6)
-    bloch = cdl.ssh_bloch(alpha, lam, 0)
-    for wall in (spec.x0, spec.L):
-        amp = cdl.extended_amplitude(spec, bloch, alpha, wall)
-        assert abs(amp) <= 1e-10
-
-
-def test_assemble_rejects_vanishing_minus_branch():
-    bloch = cdl.BlochPair(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    spec = cdl.ssh_spec(11, -1, 0.5)
-    with pytest.raises(SingularityError):
-        cdl.assemble_state(spec, bloch, cmath.exp(1j * 0.3), 1.0)
-
-
 def test_in_gap_record_localization_sides():
     for lam, side in ((0.999, slice(0, 2)), (-0.999, slice(-2, None))):
         spec = cdl.ssh_spec(101, -1, lam)
@@ -216,33 +171,12 @@ def test_in_gap_limit_matches_uniform_midband_state():
 
 
 # ---------------------------------------------------------------------------
-# quantization routes
+# in-gap quantization
 # ---------------------------------------------------------------------------
 
-def test_boundary_quantization_accepts_commensurate_momenta():
-    spec = cdl.ssh_spec(11, -1, 0.9)
-    for n in (1, 3, 5):
-        residual = cdl.quantization_residual(spec, cmath.exp(1j * np.pi * n / 12))
-        assert abs(residual) <= 1e-12
-
-
-def test_boundary_quantization_rejects_off_grid_momentum():
-    spec = cdl.ssh_spec(11, -1, 0.9)
-    assert abs(cdl.quantization_residual(spec, cmath.exp(1j * 0.1))) > 0.1
-
-
-def test_boundary_quantization_degenerate_at_edge_state():
-    # bound states are fixed by the local single-site equation, not by the
-    # wall condition: there the Bloch ratio degenerates to 0/0
-    spec = cdl.ssh_spec(11, -1, 0.9)
-    alpha = cdl.edge_alpha(spec, 0.9)
-    with pytest.raises(SingularityError):
-        cdl.quantization_residual(spec, alpha)
-
-
 def test_edge_root_satisfies_local_equation_route():
-    # consistency of the two quantization routes, stated through the
-    # residual that actually quantizes the bound state
+    # the bisection root solves the single-site residual that quantizes the
+    # bound state, and agrees with its closed form
     from cdlattice.states import _edge_residual
 
     for lam in (0.9, 0.3, -0.7):
@@ -318,29 +252,43 @@ def test_full_basis_other_odd_wall():
 
 
 # ---------------------------------------------------------------------------
-# generic unit-cell route
+# real standing-wave snapshot
 # ---------------------------------------------------------------------------
 
-def test_generic_route_agrees_with_ssh_closed_forms():
-    lam = 0.45
-    spec = cdl.ssh_spec(11, -1, lam)
-    alpha = cmath.exp(1j * np.pi / 3)
-    energy = cdl.ssh_energy(alpha, lam, 0)
-    residual, phi = cdl.generic_bloch(spec, alpha, energy)
-    assert residual <= 1e-12
-    bloch = cdl.ssh_bloch(alpha, lam, 0)
-    assert phi[1] / phi[0] == pytest.approx(bloch.phi_plus[1], abs=1e-10)
+def max_relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def test_generic_route_flags_off_dispersion_pair():
-    spec = cdl.ssh_spec(11, -1, 0.45)
-    residual, _ = cdl.generic_bloch(spec, cmath.exp(1j * np.pi / 3), 0.123)
-    assert residual > 1e-3
+@pytest.mark.parametrize("lam", [0.9, 0.3, -0.5, 1e-3, 0.97, -0.97])
+@pytest.mark.parametrize("m_sites", [11, 13, 21, 101])
+@pytest.mark.parametrize("x0", [-2, -1, 0, 1])
+def test_snapshot_matches_two_branch_oracle(x0, m_sites, lam):
+    spec = cdl.ssh_spec(m_sites + x0 + 1, x0, lam)
+    energies, states, derivatives, norms = cdl.basis_and_derivatives(spec, lam)
+    ref_energies, ref_states, ref_derivatives, ref_norms = two_branch_snapshot(spec, lam)
+    phase = np.sum(states.conj() * ref_states, axis=1, keepdims=True)
+    phase /= np.abs(phase)
+    assert max_relative(energies, ref_energies) <= 1e-12
+    assert max_relative(states * phase, ref_states) <= 1e-12
+    assert max_relative(derivatives * phase, ref_derivatives) <= 1e-12
+    assert max_relative(norms, ref_norms) <= 1e-12
+    assert max_relative(1j * derivatives.T @ states.conj(),
+                        1j * ref_derivatives.T @ ref_states.conj()) <= 1e-12
 
 
-def test_generic_route_single_band():
-    spec = cdl.LatticeSpec(x0=-1, L=9, t=np.ones(8, dtype=complex), mu=np.zeros(9), tau=1)
-    k = 0.7
-    residual, phi = cdl.generic_bloch(spec, cmath.exp(1j * k), 2 * np.cos(k))
-    assert residual <= 1e-12
-    assert phi[0] == pytest.approx(1.0)
+@given(half=st.integers(min_value=2, max_value=40),
+       x0=st.integers(min_value=-2, max_value=1),
+       size=st.floats(min_value=1e-3, max_value=0.97),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_snapshot_rows_are_real_and_differentiate_to_derivatives(half, x0, size, sign):
+    m_sites, lam, step = 2 * half + 1, sign * size, 1e-6
+    L = m_sites + x0 + 1
+    _, states, derivatives, _ = cdl.basis_and_derivatives(cdl.ssh_spec(L, x0, lam), lam)
+    assert np.all(states[:-1].imag == 0.0) and np.all(derivatives[:-1].imag == 0.0)
+    np.testing.assert_allclose(states.conj() @ states.T, np.eye(m_sites), rtol=0, atol=1e-12)
+    # no gauge alignment: the rows themselves are smooth in lambda
+    up = cdl.basis_and_derivatives(cdl.ssh_spec(L, x0, lam + step), lam + step)[1]
+    down = cdl.basis_and_derivatives(cdl.ssh_spec(L, x0, lam - step), lam - step)[1]
+    fd = (up - down) / (2 * step)
+    error = np.linalg.norm(fd - derivatives, axis=1)
+    assert np.all(error <= 1e-6 * np.linalg.norm(derivatives, axis=1))
