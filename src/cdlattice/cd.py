@@ -1,16 +1,14 @@
 """Exact counterdiabatic generator matrices for the SSH chain.
 
-The rate-free generator is
-
-    A = i * sum_alpha |d_lambda psi_alpha><psi_alpha|
-
-assembled from the closed-form states and derivatives of ``states``; the
-propagator multiplies it by the instantaneous ramp rate. Every state
-derivative is taken in the parallel-transport gauge (<psi | d psi> = 0),
-which makes the generator's diagonal vanish identically and keeps it
-Hermitian by basis completeness. The full generator sums all M states; the
-targeted generator keeps only the in-gap edge state, explicitly Hermitized
-as i(theta - theta^dagger).
+The rate-free generator A = i * sum_n |d_lambda psi_n><psi_n| is built from
+the closed forms of ``states``; the propagator multiplies it by the ramp
+rate. The band states are real standing waves in the parallel-transport
+gauge whose derivatives live on the zero-mode sublattice (rows ``::2``), and
+band 1 is band 0 with its odd sites negated, so the two bands cancel in every
+column off that sublattice. The zero mode z lives there too, with the phase
+i^x, so d z z^dagger is real. Hence A = i K, with K real and antisymmetric on
+the (M+1)/2 zero-mode sites. The full generator sums all M states into K;
+the targeted one keeps the in-gap state, as theta - theta^T.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .lattice import LatticeSpec, hermiticity_residual, hermitize
-from .states import _zero_mode_and_derivative, basis_and_derivatives
+from .lattice import LatticeSpec
+from .states import _band_phases, _zero_mode_and_derivative
 
 _STRUCTURE_TOL = 1e-10
 
@@ -42,45 +40,37 @@ class GaugePotentialMatrix:
             raise SingularityError(f"unknown CD mode {self.mode!r}")
 
 
-def _finalize_generator(raw: np.ndarray, mode: str, lam: float) -> GaugePotentialMatrix:
-    scale = float(np.max(np.abs(raw))) or 1.0
-    residual = hermiticity_residual(raw)
+def _embed(block: np.ndarray, mode: str, lam: float) -> GaugePotentialMatrix:
+    """Check the real block K and return A = i K on rows and columns ``::2``."""
+    if not np.all(np.isfinite(block)):
+        raise SingularityError(f"non-finite generator entries at lambda={lam}")
+    scale = float(np.max(np.abs(block))) or 1.0
+    residual = float(np.max(np.abs(block + block.T)))
     if residual > _STRUCTURE_TOL * scale:
         raise ArithmeticError(
             f"anti-Hermitian residual {residual:.3e} exceeds {_STRUCTURE_TOL} x {scale:.3e}"
         )
-    matrix = hermitize(raw)
-    diag_max = float(np.max(np.abs(np.diag(matrix))))
-    if diag_max > _STRUCTURE_TOL * scale:
-        raise ArithmeticError(
-            f"generator diagonal {diag_max:.3e} exceeds {_STRUCTURE_TOL} x {scale:.3e}"
-        )
-    np.fill_diagonal(matrix, 0.0)
-    if not np.all(np.isfinite(matrix)):
-        raise SingularityError(f"non-finite generator entries at lambda={lam}")
+    n_sites = 2 * len(block) - 1
+    matrix = np.zeros((n_sites, n_sites), dtype=complex)
+    matrix.imag[::2, ::2] = (block - block.T) / 2
     return GaugePotentialMatrix(matrix=matrix, mode=mode, lam=lam)
 
 
-def _basis_and_derivatives(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """State and derivative rows of the snapshot (also timed by benchmarks/reference.py)."""
-    _, states, derivatives, _ = basis_and_derivatives(spec, lam)
-    return states, derivatives
+def _zero_mode_block(spec: LatticeSpec, lam: float) -> np.ndarray:
+    """theta = Re(dz z*^T) of the zero mode z on its sublattice."""
+    psi, dpsi = _zero_mode_and_derivative(spec, lam)
+    return np.outer(dpsi[::2], psi[::2].conj()).real
 
 
 def full_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions between all M states."""
-    states, derivatives = _basis_and_derivatives(spec, lam)
-    raw = 1j * (derivatives.T @ states.conj())
-    return _finalize_generator(raw, "full", lam)
+    # a band pair adds 2 (-phi_k') cos(theta - phi_k) sin(theta - phi_k)^T / ((L-x0)/2)
+    _, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
+    bands = ((-4.0 / (spec.L - spec.x0)) * d_phi * cos_shift).T @ sin_shift
+    return _embed(bands + _zero_mode_block(spec, lam), "full", lam)
 
 
 def targeted_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
-    """Rate-free CD generator countering transitions out of the in-gap state.
-
-    i(theta - theta^dagger) for the single targeted state: exactly Hermitian
-    by construction and of rank at most 2.
-    """
-    psi, dpsi = _zero_mode_and_derivative(spec, lam)
-    theta = np.outer(dpsi, psi.conj())
-    raw = 1j * (theta - theta.conj().T)
-    return _finalize_generator(raw, "targeted", lam)
+    """Rate-free CD generator countering transitions out of the in-gap state (rank <= 2)."""
+    theta = _zero_mode_block(spec, lam)
+    return _embed(theta - theta.T, "targeted", lam)

@@ -105,11 +105,3 @@ def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:
 def hermiticity_residual(m: np.ndarray) -> float:
     """Max-norm of m - m^dagger."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return (m + m^dagger)/2; ``hermiticity_residual`` measures what it removes."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidSpecError(f"expected a square matrix, got shape {m.shape}")
-    return (m + m.conj().T) / 2.0

@@ -295,7 +295,7 @@ def _geometry(L: int, x0: int) -> SimpleNamespace:
         sin_theta=np.sin(theta),
         cos_theta=np.cos(theta[:, ::2]),             # zero-mode sublattice only
         xp=xs[::2],
-        zero_phases=1j ** (xs[::2].astype(float)),
+        zero_phases=np.array([1, 1j, -1, -1j])[xs[::2] % 4],  # exact i^x
     )
     for value in vars(geometry).values():
         if isinstance(value, np.ndarray):
@@ -435,34 +435,42 @@ def _require_ssh(spec: LatticeSpec, lam: float | None):
         raise InvalidSpecError(f"spec encodes lambda={found}, caller passed {lam}")
 
 
-def basis_and_derivatives(spec: LatticeSpec, lam: float):
-    """All M states of a commensurate odd-length SSH chain and their derivatives.
+def _band_phases(spec: LatticeSpec, lam: float):
+    """(energy, sin(theta - phi_k), cos(theta - phi_k), phi_k'), one row per k < pi/2.
 
-    Returns (energies, states, derivatives, branch_norms). Rows run over band
-    0 at the quasimomenta k < pi/2, then band 1 (band 0 with the odd-site
-    amplitudes negated), then the zero mode. With theta = k(x-L), a band-0
-    row is sin(theta) on the wall sublattice and sin(theta - phi_k) on the
-    zero-mode one, where cos phi_k = Re v_plus and sin phi_k = sigma Im v_plus
-    (sigma = +1 for odd L, -1 for even L). Every row has the norm
-    sqrt((L-x0)/2) at every lambda, so its derivative
-    -phi_k' cos(theta - phi_k), with phi_k' = sigma Im(d v_plus / v_plus),
-    is parallel transport (<psi|d psi> = 0) as it stands. ``branch_norms``
-    holds |psi~| = sqrt(2(L-x0)) of the two-branch form, one per band-0 row.
+    theta = k(x-L) runs over the zero-mode sublattice, cos phi_k = Re v_plus,
+    sin phi_k = sigma Im v_plus and phi_k' = sigma Im(d v_plus / v_plus),
+    with sigma = +1 for odd L and -1 for even L.
     """
-    psi, dpsi = _zero_mode_and_derivative(spec, lam)
     geo = _geometry(spec.L, spec.x0)
     sigma = zero_mode_sublattice_sign(spec)
     energy = _band_energy(geo.cos2_k, geo.sin2_k, lam)
     v_plus = _bloch_second_components(geo.alpha, lam, energy)[0]
     d_plus = _bloch_second_derivatives(geo.alpha, lam, 0.0, energy)[0]
     cos_phi, sin_phi = v_plus.real, sigma * v_plus.imag
-    d_phi = sigma * (d_plus / v_plus).imag
-    scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
     sin_z, cos_z = geo.sin_theta[:, ::2], geo.cos_theta
+    sin_shift = sin_z * cos_phi - cos_z * sin_phi
+    cos_shift = cos_z * cos_phi + sin_z * sin_phi
+    return energy, sin_shift, cos_shift, sigma * (d_plus / v_plus).imag
+
+
+def basis_and_derivatives(spec: LatticeSpec, lam: float):
+    """All M states of a commensurate odd-length SSH chain and their derivatives.
+
+    Returns (energies, states, derivatives, branch_norms). Rows run over band
+    0 at the quasimomenta k < pi/2, then band 1 (band 0 with the odd-site
+    amplitudes negated), then the zero mode. Band rows are the standing waves
+    of the module docstring, with the factors from ``_band_phases``;
+    ``branch_norms`` holds |psi~| = sqrt(2(L-x0)) of the two-branch form.
+    """
+    psi, dpsi = _zero_mode_and_derivative(spec, lam)
+    geo = _geometry(spec.L, spec.x0)
+    energy, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
+    scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
     p0 = geo.sin_theta * scale
-    p0[:, ::2] = (sin_z * cos_phi - cos_z * sin_phi) * scale
+    p0[:, ::2] = sin_shift * scale
     dp0 = np.zeros_like(p0)
-    dp0[:, ::2] = (cos_z * cos_phi + sin_z * sin_phi) * (-scale * d_phi)
+    dp0[:, ::2] = cos_shift * (-scale * d_phi)
     energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
     states = np.concatenate((p0, p0 * geo.sign_flip, psi[None, :]))
     derivatives = np.concatenate((dp0, dp0 * geo.sign_flip, dpsi[None, :]))

@@ -270,8 +270,15 @@ def test_generators_match_dense_oracle_on_both_wall_parities(x0, m_sites, lam):
     assert np.max(np.abs(full - oracle)) <= 1e-10 * scale
     psi = cdl.in_gap_record(spec, lam).coeffs
     column = oracle @ psi
-    targeted = cdl.targeted_cd(spec, lam).matrix @ psi
+    targeted_m = cdl.targeted_cd(spec, lam).matrix
+    targeted = targeted_m @ psi
     assert np.max(np.abs(targeted - column)) <= 1e-10 * np.max(np.abs(column))
+    # both live as i K on the zero-mode sublattice, with K real
+    for matrix in (full, targeted_m):
+        off_block = matrix.copy()
+        off_block[::2, ::2] = 0.0
+        assert np.all(off_block == 0.0)
+        assert np.all(matrix.real == 0.0)
 
 
 def test_geometry_cache_is_bounded():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import cdlattice as cdl
 from cdlattice.errors import InvalidSpecError
-from cdlattice.lattice import LatticeSpec, hermitize
+from cdlattice.lattice import LatticeSpec
 
 
 def test_ssh_spec_alternating_bonds():
@@ -62,30 +62,6 @@ def test_build_hamiltonian_ssh_structure():
     assert np.all(np.diag(h) == 0)
     np.testing.assert_allclose(np.diag(h, 1).real, spec.t.real)
     assert np.array_equal(h, h.conj().T)
-
-
-def test_hermitize_identity_on_hermitian_input():
-    spec = cdl.ssh_spec(11, -1, 0.3)
-    h = cdl.build_hamiltonian(spec)
-    out = hermitize(h)
-    assert cdl.hermiticity_residual(h) == 0.0
-    assert np.array_equal(out, h)
-
-
-def test_hermitize_forced_example():
-    m = np.array([[0.0, 1j], [0.0, 0.0]])
-    out = hermitize(m)
-    np.testing.assert_allclose(out, np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
-    assert cdl.hermiticity_residual(m) == pytest.approx(1.0)
-
-
-def test_hermitize_full_cd_matrix():
-    # completeness of the eigenbasis keeps the raw generator Hermitian
-    spec = cdl.ssh_spec(11, -1, 0.7)
-    _, states, derivatives, _ = cdl.basis_and_derivatives(spec, 0.7)
-    raw = 1j * derivatives.T @ states.conj()
-    assert cdl.hermiticity_residual(raw) <= 1e-10 * np.max(np.abs(raw))
-    assert cdl.hermiticity_residual(hermitize(raw)) == 0.0
 
 
 @given(

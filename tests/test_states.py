@@ -158,6 +158,16 @@ def test_in_gap_record_localization_sides():
         assert cdl.eigen_residual(spec, record) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.999, -0.5])
+@pytest.mark.parametrize("m_sites", [11, 101])
+@pytest.mark.parametrize("x0", [-2, -1, 0, 1])
+def test_in_gap_phases_are_exact_powers_of_i(x0, m_sites, lam):
+    # the zero mode lives on sites of one parity, where i^x is +-1 or +-i
+    coeffs = cdl.in_gap_record(cdl.ssh_spec(m_sites + x0 + 1, x0, lam), lam).coeffs
+    dropped = coeffs.imag if x0 % 2 == 1 else coeffs.real
+    assert np.all(dropped == 0.0)
+
+
 def test_in_gap_limit_matches_uniform_midband_state():
     lam = 1e-9
     spec = cdl.ssh_spec(11, -1, lam)
