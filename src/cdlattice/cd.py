@@ -1,4 +1,4 @@
-"""Exact counterdiabatic generator matrices for the SSH chain.
+"""Exact counterdiabatic generators for the SSH chain, stored as real blocks.
 
 The rate-free generator A = i * sum_n |d_lambda psi_n><psi_n| is built from
 the closed forms of ``states``; the propagator multiplies it by the ramp
@@ -7,8 +7,8 @@ gauge whose derivatives live on the zero-mode sublattice (rows ``::2``), and
 band 1 is band 0 with its odd sites negated, so the two bands cancel in every
 column off that sublattice. The zero mode z lives there too, with the phase
 i^x, so d z z^dagger is real. Hence A = i K, with K real and antisymmetric on
-the (M+1)/2 zero-mode sites. The full generator sums all M states into K;
-the targeted one keeps the in-gap state, as theta - theta^T.
+the (M+1)/2 zero-mode sites: K is all a generator stores. The full generator
+sums all M states into K; the targeted one keeps the in-gap state.
 """
 
 from __future__ import annotations
@@ -26,34 +26,25 @@ _STRUCTURE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaugePotentialMatrix:
-    """Dense Hermitian CD generator with its assembly metadata."""
+    """CD generator A = i K, stored only as the read-only real block K on rows and
+    columns ``::2``; ``matrix`` builds the dense M x M matrix i K on every read."""
 
-    matrix: np.ndarray
-    mode: str
-    lam: float
+    block: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.mode not in ("full", "targeted"):
-            raise SingularityError(f"unknown CD mode {self.mode!r}")
+    @property
+    def matrix(self) -> np.ndarray:
+        n_sites = 2 * len(self.block) - 1
+        matrix = np.zeros((n_sites, n_sites), dtype=complex)
+        matrix.imag[::2, ::2] = self.block
+        return matrix
 
 
-def _embed(block: np.ndarray, mode: str, lam: float) -> GaugePotentialMatrix:
-    """Check the real block K and return A = i K on rows and columns ``::2``."""
+def _generator(block: np.ndarray, lam: float) -> GaugePotentialMatrix:
+    """Check that K is finite and store it read-only."""
     if not np.all(np.isfinite(block)):
         raise SingularityError(f"non-finite generator entries at lambda={lam}")
-    scale = float(np.max(np.abs(block))) or 1.0
-    residual = float(np.max(np.abs(block + block.T)))
-    if residual > _STRUCTURE_TOL * scale:
-        raise ArithmeticError(
-            f"anti-Hermitian residual {residual:.3e} exceeds {_STRUCTURE_TOL} x {scale:.3e}"
-        )
-    n_sites = 2 * len(block) - 1
-    matrix = np.zeros((n_sites, n_sites), dtype=complex)
-    matrix.imag[::2, ::2] = (block - block.T) / 2
-    return GaugePotentialMatrix(matrix=matrix, mode=mode, lam=lam)
+    block.setflags(write=False)
+    return GaugePotentialMatrix(block)
 
 
 def _zero_mode_block(spec: LatticeSpec, lam: float) -> np.ndarray:
@@ -67,10 +58,19 @@ def full_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     # a band pair adds 2 (-phi_k') cos(theta - phi_k) sin(theta - phi_k)^T / ((L-x0)/2)
     _, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
     bands = ((-4.0 / (spec.L - spec.x0)) * d_phi * cos_shift).T @ sin_shift
-    return _embed(bands + _zero_mode_block(spec, lam), "full", lam)
+    block = bands + _zero_mode_block(spec, lam)
+    # a non-finite K has an inf or NaN scale, so it passes here and _generator rejects it
+    scale = float(np.max(np.abs(block))) or 1.0
+    residual = float(np.max(np.abs(block + block.T)))
+    if residual > _STRUCTURE_TOL * scale:
+        raise ArithmeticError(
+            f"anti-Hermitian residual {residual:.3e} exceeds {_STRUCTURE_TOL} x {scale:.3e}"
+        )
+    return _generator((block - block.T) / 2, lam)
 
 
 def targeted_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions out of the in-gap state (rank <= 2)."""
+    # theta - theta^T is exactly antisymmetric in IEEE arithmetic: only finiteness is checked
     theta = _zero_mode_block(spec, lam)
-    return _embed(theta - theta.T, "targeted", lam)
+    return _generator(theta - theta.T, lam)

@@ -118,10 +118,10 @@ def cmd_state(args) -> int:
 
 def cmd_cd_matrix(args) -> int:
     spec = _spec_builder(args)(args.lam)
-    gen = full_cd(spec, args.lam) if args.mode == "full" else targeted_cd(spec, args.lam)
+    matrix = (full_cd if args.mode == "full" else targeted_cd)(spec, args.lam).matrix
     xs = spec.sites()
     rows = [
-        (x, xp, gen.matrix[i, j].real, gen.matrix[i, j].imag, abs(gen.matrix[i, j]))
+        (x, xp, matrix[i, j].real, matrix[i, j].imag, abs(matrix[i, j]))
         for i, x in enumerate(xs)
         for j, xp in enumerate(xs)
     ]
@@ -137,9 +137,9 @@ def cmd_norm(args) -> int:
         if args.lam is None:
             raise InvalidSpecError("--by-diagonal needs --lambda")
         spec = build(args.lam)
-        gen = full_cd(spec, args.lam) if args.mode == "full" else targeted_cd(spec, args.lam)
+        matrix = (full_cd if args.mode == "full" else targeted_cd)(spec, args.lam).matrix
         rows = [
-            (d, diagonal_norm_ratio(gen.matrix, d), args.lam)
+            (d, diagonal_norm_ratio(matrix, d), args.lam)
             for d in range(spec.n_sites)
         ]
         write_csv(args.out or "norm_ratio.csv", "norm",
@@ -149,15 +149,10 @@ def cmd_norm(args) -> int:
         return 0
     grid = _parse_grid(args.grid)
     rows = []
-    for lam in grid:
-        spec = build(float(lam))
-        rows.append(
-            (
-                float(lam),
-                frobenius_norm(full_cd(spec, float(lam)).matrix),
-                frobenius_norm(targeted_cd(spec, float(lam)).matrix),
-            )
-        )
+    for lam in map(float, grid):
+        spec = build(lam)  # ||A|| = ||i K|| = ||K||, so no M x M matrix is built
+        rows.append((lam, frobenius_norm(full_cd(spec, lam).block),
+                     frobenius_norm(targeted_cd(spec, lam).block)))
     write_csv(args.out or "norm.csv", "norm",
               {"sites": args.sites, "grid": args.grid},
               ["lambda", "frobenius_full", "frobenius_targeted"], rows)
@@ -169,10 +164,13 @@ def cmd_transfer(args) -> int:
     build = _spec_builder(args)
     config = _protocol_config(args)
     dt = config["dt"]
+    # every band limit is checked before the first drive runs
+    d_values = _parse_sizes(args.d_sweep) if args.d_sweep is not None else [args.diagonals]
+    if d_values != [None] and args.cd == "none":
+        raise InvalidSpecError("--diagonals and --d-sweep need a CD mode")
+    if d_values != [None] and (bad := [d for d in d_values if not 0 <= d < args.sites]):
+        raise InvalidSpecError(f"band limits {bad} outside 0..{args.sites - 1}")
     if args.d_sweep is not None:
-        if args.cd == "none":
-            raise InvalidSpecError("--d-sweep needs a CD mode")
-        d_values = _parse_sizes(args.d_sweep)
         rows = []
         for d in d_values:
             protocol = Protocol(args.lambda0, args.lambdaf, args.time,

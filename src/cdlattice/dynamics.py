@@ -135,16 +135,16 @@ def _step_operator(spec: LatticeSpec, gen: np.ndarray | None, rate: float, phase
     """Action of phase * h for h = H + rate * gen, and a bound on ||h||_2.
 
     Without a generator, H acts as its tridiagonal stencil: O(M) and no BLAS
-    call. With one, H is folded into a dense copy of rate * gen, so each
-    series term costs one matvec; h is Hermitian, so its 2-norm is at most its
-    largest column abs-sum.
+    call. With one, gen is scaled by rate and H is folded into it in place
+    (each step builds its own gen), so each series term costs one matvec; h
+    is Hermitian, so its 2-norm is at most its largest column abs-sum.
     """
     mu, t = spec.mu, spec.t
     if gen is None:
         diag, up, down = phase * mu, phase * t, phase * t.conj()
         bound = np.abs(mu).max() + 2.0 * np.abs(t).max()
         return (lambda v: _tridiagonal_apply(diag, up, down, v)), float(bound)
-    h = np.multiply(gen, rate, order="C")  # C order: the flat view below writes into h
+    h = np.multiply(gen, rate, out=gen)  # gen is C-ordered: the flat view below writes into h
     flat, m = h.reshape(-1), len(mu)
     flat[:: m + 1] += mu
     flat[1 :: m + 1] += t

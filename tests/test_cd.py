@@ -161,7 +161,6 @@ def test_full_generator_hermitian_with_zero_diagonal(ssh11_09):
     gen = cdl.full_cd(spec, lam)
     assert cdl.hermiticity_residual(gen.matrix) == 0.0
     assert np.all(np.diag(gen.matrix) == 0.0)
-    assert gen.mode == "full" and gen.lam == lam
 
 
 def test_full_generator_raw_sum_residual(ssh11_09):
@@ -210,7 +209,6 @@ def test_targeted_generator_exactly_hermitian_rank_two(ssh11_09):
     assert cdl.hermiticity_residual(gen.matrix) == 0.0
     svals = np.linalg.svd(gen.matrix, compute_uv=False)
     assert svals[2] <= 1e-12 * svals[0]
-    assert gen.mode == "targeted"
 
 
 def test_targeted_generator_concentrated_and_aperiodic(ssh11_09):
@@ -266,19 +264,27 @@ def test_generators_match_dense_oracle_on_both_wall_parities(x0, m_sites, lam):
     spec = cdl.ssh_spec(m_sites + x0 + 1, x0, lam)
     oracle = dense_cd_oracle(spec, lam)
     scale = np.max(np.abs(oracle))
-    full = cdl.full_cd(spec, lam).matrix
+    full_gen, targeted_gen = cdl.full_cd(spec, lam), cdl.targeted_cd(spec, lam)
+    full = full_gen.matrix
     assert np.max(np.abs(full - oracle)) <= 1e-10 * scale
     psi = cdl.in_gap_record(spec, lam).coeffs
     column = oracle @ psi
-    targeted_m = cdl.targeted_cd(spec, lam).matrix
-    targeted = targeted_m @ psi
+    targeted = targeted_gen.matrix @ psi
     assert np.max(np.abs(targeted - column)) <= 1e-10 * np.max(np.abs(column))
-    # both live as i K on the zero-mode sublattice, with K real
-    for matrix in (full, targeted_m):
+    # both are stored as the read-only real antisymmetric K of A = i K on the
+    # zero-mode sublattice, and .matrix embeds exactly that
+    half = (m_sites + 1) // 2
+    for gen in (full_gen, targeted_gen):
+        block, matrix = gen.block, gen.matrix
+        assert block.shape == (half, half)
+        assert block.dtype == np.float64 and not block.flags.writeable
+        assert np.all(block + block.T == 0.0)
+        np.testing.assert_array_equal(matrix.imag[::2, ::2], block)
         off_block = matrix.copy()
         off_block[::2, ::2] = 0.0
         assert np.all(off_block == 0.0)
         assert np.all(matrix.real == 0.0)
+        assert cdl.frobenius_norm(block) == pytest.approx(cdl.frobenius_norm(matrix), rel=1e-13)
 
 
 def test_geometry_cache_is_bounded():

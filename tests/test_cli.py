@@ -165,6 +165,35 @@ def test_structure_check_failure_exits_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_real_structure_check_fires(tmp_path, monkeypatch):
+    import cdlattice as cdl
+
+    # a negative tolerance fails every finite residual, so the check itself must raise
+    monkeypatch.setattr("cdlattice.cd._STRUCTURE_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="anti-Hermitian residual"):
+        cdl.full_cd(cdl.ssh_spec(11, -1, 0.5), 0.5)
+    code = main(["transfer", "--sites", "11", "--cd", "full", "--dt", "1e-2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cd", "targeted", "--d-sweep", "0:12:4"],
+    ["--cd", "targeted", "--diagonals", "11"],
+    ["--cd", "none", "--diagonals", "50"],
+    ["--cd", "none", "--diagonals", "3"],
+], ids=["d-sweep-past-band", "diagonals-past-band", "none-wide", "none-narrow"])
+def test_band_limits_checked_before_any_drive(tmp_path, monkeypatch, argv):
+    import cdlattice.cli
+
+    calls = []
+    monkeypatch.setattr(cdlattice.cli, "propagate", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x.csv"
+    assert main(["transfer", "--sites", "11", "--dt", "1e-2", *argv, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["state", "--sites", "10", "--lambda", "0.5"],
     ["transfer", "--sites", "10", "--cd", "targeted", "--dt", "1e-2"],
@@ -191,6 +220,26 @@ def test_package_exports_only_what_cli_and_gate_use():
     ))
     unused = [name for name in cdlattice.__all__ if not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_benchmark_hooks_exist():
+    # benchmarks/layers.py patches these names and benchmarks/reference.py reads
+    # full_cd(...).matrix as a dense M x M complex array
+    import importlib
+    import importlib.util
+
+    from cdlattice import cd, lattice
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [f"{module}.{name}" for module, names in layers.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"cdlattice.{module}"), name, None))]
+    assert missing == []
+    matrix = cd.full_cd(lattice.ssh_spec(101, -1, 0.3), 0.3).matrix
+    assert matrix.shape == (101, 101) and matrix.dtype == np.complex128
 
 
 def test_full_cd_transfer_on_even_wall(tmp_path):

@@ -117,8 +117,8 @@ def test_trace_energy_matches_dense_expectation(mode):
 
 def test_non_finite_generator_aborts(monkeypatch):
     def poisoned(spec, lam):
-        m = spec.n_sites
-        return GaugePotentialMatrix(np.full((m, m), np.nan), "targeted", lam)
+        half = (spec.n_sites + 1) // 2
+        return GaugePotentialMatrix(np.full((half, half), np.nan))
 
     monkeypatch.setattr("cdlattice.dynamics.targeted_cd", poisoned)
     with pytest.raises(SingularityError, match="non-finite"):
