@@ -33,7 +33,7 @@ from .states import (
 from .cd import full_cd, targeted_cd
 from .dynamics import Protocol, band_limit, convergence_sweep, default_dt, propagate
 from .spectral import (
-    diagonal_norm_ratio,
+    diagonal_norm_ratios,
     eigh,
     frobenius_norm,
     gap_to_zero_mode,
@@ -54,7 +54,7 @@ __all__ = [
     "convergence_sweep",
     "d_norm",
     "default_dt",
-    "diagonal_norm_ratio",
+    "diagonal_norm_ratios",
     "edge_alpha",
     "eigen_residual",
     "eigh",

@@ -55,10 +55,10 @@ def _zero_mode_block(spec: LatticeSpec, lam: float) -> np.ndarray:
 
 def full_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions between all M states."""
+    zero_block = _zero_mode_block(spec, lam)  # guards the spec before any band work
     # a band pair adds 2 (-phi_k') cos(theta - phi_k) sin(theta - phi_k)^T / ((L-x0)/2)
     _, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
-    bands = ((-4.0 / (spec.L - spec.x0)) * d_phi * cos_shift).T @ sin_shift
-    block = bands + _zero_mode_block(spec, lam)
+    block = ((-4.0 / (spec.L - spec.x0)) * d_phi * cos_shift).T @ sin_shift + zero_block
     # a non-finite K has an inf or NaN scale, so it passes here and _generator rejects it
     scale = float(np.max(np.abs(block))) or 1.0
     residual = float(np.max(np.abs(block + block.T)))

@@ -26,13 +26,13 @@ from .errors import (
 from .io import write_csv
 from .lattice import build_hamiltonian, hermiticity_residual, ssh_spec
 from .spectral import (
-    diagonal_norm_ratio,
+    diagonal_norm_ratios,
     frobenius_norm,
     gap_to_zero_mode,
     spectrum_sweep,
     ssh_gap_formula,
 )
-from .states import eigen_residual, full_basis, in_gap_record
+from .states import basis_and_derivatives, eigen_residual, full_basis, in_gap_record
 
 VALIDATION_EXIT = 2
 SINGULARITY_EXIT = 3
@@ -66,11 +66,6 @@ def _chain_args(p: argparse.ArgumentParser, sites_default: int = 101):
 def _spec_builder(args):
     L = args.sites + args.x0 + 1
     return lambda lam: ssh_spec(L, args.x0, lam)
-
-
-def _validate_cd_endpoints(args):
-    if args.cd != "none" and (abs(args.lambda0) == 1 or abs(args.lambdaf) == 1):
-        raise InvalidSpecError("CD drives cannot start or end exactly at lambda = +-1")
 
 
 def _protocol_config(args) -> dict:
@@ -138,10 +133,7 @@ def cmd_norm(args) -> int:
             raise InvalidSpecError("--by-diagonal needs --lambda")
         spec = build(args.lam)
         matrix = (full_cd if args.mode == "full" else targeted_cd)(spec, args.lam).matrix
-        rows = [
-            (d, diagonal_norm_ratio(matrix, d), args.lam)
-            for d in range(spec.n_sites)
-        ]
+        rows = [(d, ratio, args.lam) for d, ratio in enumerate(diagonal_norm_ratios(matrix))]
         write_csv(args.out or "norm_ratio.csv", "norm",
                   {"sites": args.sites, "lambda": args.lam, "mode": args.mode,
                    "by_diagonal": True},
@@ -160,11 +152,12 @@ def cmd_norm(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    _validate_cd_endpoints(args)
     build = _spec_builder(args)
     config = _protocol_config(args)
     dt = config["dt"]
-    # every band limit is checked before the first drive runs
+    # every band limit and flag combination is checked before the first drive runs
+    if args.d_sweep is not None and (args.diagonals is not None or args.trace):
+        raise InvalidSpecError("--d-sweep cannot be combined with --diagonals or --trace")
     d_values = _parse_sizes(args.d_sweep) if args.d_sweep is not None else [args.diagonals]
     if d_values != [None] and args.cd == "none":
         raise InvalidSpecError("--diagonals and --d-sweep need a CD mode")
@@ -266,9 +259,13 @@ def cmd_certify(args) -> int:
     spec_match = float(np.max(np.abs(energies - numeric)))
     check("spectrum-match", spec_match <= 1e-10, f"max energy mismatch {spec_match:.2e}")
 
-    gen = full_cd(spec, lam)
-    diag = float(np.max(np.abs(np.diag(gen.matrix))))
-    check("cd-diagonal-zero", diag == 0.0, f"max diagonal modulus {diag:.2e}")
+    # i sum_n |d psi_n><psi_n| before full_cd antisymmetrises it: a <psi_n|d psi_n> != 0
+    # shows on its diagonal
+    _, states, derivatives, _ = basis_and_derivatives(spec, lam)
+    raw = 1j * derivatives.T @ states.conj()
+    diag, scale = float(np.max(np.abs(np.diag(raw)))), float(np.max(np.abs(raw)))
+    check("cd-diagonal-zero", diag <= 1e-10 * scale,
+          f"max diagonal modulus {diag:.2e} of max entry {scale:.2e}")
 
     gap_f = ssh_gap_formula(lam, spec.L) if args.x0 == -1 else float("nan")
     gap_n = gap_to_zero_mode(numeric)
@@ -349,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cd-spectrum", help="spectrum of the CD-modified Hamiltonian")
     _chain_args(p)
     p.add_argument("--grid", default="-0.99:0.99:198",
-                   help="lambda grid start:stop:count; must avoid 0 and +-1")
+                   help="lambda grid start:stop:count; points with |lambda| >= 1 are "
+                        "skipped and counted on stderr")
     p.add_argument("--mode", choices=("full", "targeted"), default="targeted")
     p.add_argument("--lambda0", type=float, default=0.9)
     p.add_argument("--lambdaf", type=float, default=-0.9)

@@ -162,16 +162,14 @@ def propagate(
 ) -> EvolutionResult:
     """Drive the in-gap state along the ramp and report the transfer fidelity.
 
-    The step count is rounded up to an even number so the symmetric ramp
-    never places a midpoint exactly on the gap closing. ``trace_every`` > 0
+    The ramp takes ceil(total_time / dt) equal steps; a midpoint may land on
+    lambda = 0, a regular point of the odd chain. ``trace_every`` > 0
     records (t, lambda, fidelity to the instantaneous in-gap state, norm,
     energy expectation) every that many steps.
     """
     if dt <= 0:
         raise InvalidSpecError("dt must be positive")
-    steps = max(2, math.ceil(protocol.total_time / dt))
-    if steps % 2:
-        steps += 1
+    steps = math.ceil(protocol.total_time / dt)
     dt_eff = protocol.total_time / steps
     phase = -1j * dt_eff
     psi = in_gap_record(spec_builder(protocol.lambda0), protocol.lambda0).coeffs.copy()

@@ -77,9 +77,6 @@ def ssh_spec(L: int, x0: int, lam: float) -> LatticeSpec:
     |lam| >= 1 collapses one bond and is allowed but flagged; the in-gap
     solvers reject it downstream.
     """
-    m = L - x0 - 1
-    if m < 2:
-        raise InvalidSpecError(f"need at least 2 sites, got M={m}")
     if abs(lam) >= 1:
         warnings.warn(
             f"|lambda|={abs(lam)} >= 1: a bond vanishes or flips sign; "
@@ -88,7 +85,7 @@ def ssh_spec(L: int, x0: int, lam: float) -> LatticeSpec:
         )
     bonds = np.arange(x0 + 1, L - 1)
     t = 1.0 - lam * np.where(bonds % 2 == 0, 1.0, -1.0)
-    return LatticeSpec(x0=x0, L=L, t=t.astype(complex), mu=np.zeros(m), tau=2)
+    return LatticeSpec(x0=x0, L=L, t=t.astype(complex), mu=np.zeros(len(t) + 1), tau=2)
 
 
 def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cd import full_cd, targeted_cd
-from .dynamics import band_limit
 from .errors import InvalidSpecError, NotHermitianError
 from .lattice import build_hamiltonian, hermiticity_residual, ssh_spec
 
@@ -60,12 +59,18 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def diagonal_norm_ratio(m: np.ndarray, d: int) -> float:
-    """Fraction of the Frobenius norm kept when band-limiting to ``d`` diagonals."""
-    total = frobenius_norm(m)
-    if total == 0.0:
-        return 1.0
-    return frobenius_norm(band_limit(m, d)) / total
+def diagonal_norm_ratios(m: np.ndarray) -> np.ndarray:
+    """Fraction of the Frobenius norm kept by band-limiting ``m`` to d diagonals, d = 0..M-1.
+
+    |m|^2 is binned by diagonal distance |i - j| in one pass; a zero matrix
+    keeps all of its norm.
+    """
+    m = np.asarray(m)
+    i, j = np.indices(m.shape, sparse=True)
+    weights = np.bincount(np.abs(i - j).ravel(), weights=(np.abs(m) ** 2).ravel(),
+                          minlength=m.shape[0])
+    kept = np.sqrt(np.cumsum(weights))
+    return kept / kept[-1] if kept[-1] > 0 else np.ones_like(kept)
 
 
 def spectrum_sweep(
@@ -78,19 +83,13 @@ def spectrum_sweep(
     """Sorted spectra of H(lambda), optionally with the rate-scaled CD term.
 
     CD modes use H + drive_rate * generator, matching a linear ramp at that
-    constant rate. Grid points where the CD assembly is singular are skipped
-    and flagged; grids containing 0 or +-1 exactly are rejected for CD modes.
+    constant rate. Grid points where the CD assembly is singular (|lambda| >= 1,
+    where a bond has vanished) are skipped and flagged; lambda = 0 is a
+    regular point and is computed.
     """
     if mode not in ("bare", "full-cd", "targeted-cd"):
         raise InvalidSpecError(f"unknown sweep mode {mode!r}")
     lambdas = np.asarray(lambdas, dtype=float)
-    if mode != "bare":
-        forbidden = np.isin(lambdas, (0.0, 1.0, -1.0))
-        if np.any(forbidden):
-            raise InvalidSpecError(
-                "CD sweeps must avoid lambda in {0, +1, -1} exactly; "
-                f"offending grid points at indices {np.flatnonzero(forbidden).tolist()}"
-            )
     m_sites = L - x0 - 1
     rows = np.full((len(lambdas), m_sites), np.nan)
     flags: list[str | None] = [None] * len(lambdas)

@@ -237,21 +237,33 @@ def d_norm(record: EigenStateRecord, dpsi_tilde: np.ndarray) -> float:
     return float(-(n**3) * overlap.real)
 
 
-def ssh_lambda_of(spec: LatticeSpec) -> float:
-    """Recover lambda from an SSH-patterned spec; rejects anything else."""
+def _require_zero_mode(spec: LatticeSpec, lam: float) -> None:
+    """The one guard of every zero-mode entry point.
+
+    ``spec`` must be the SSH chain at ``lam`` (period 2, no on-site term,
+    bonds 1 - lam*(-1)^x), have an odd site count, and keep every bond
+    (|lam| < 1). lambda = 0 is a regular point: the finite chain's gap is
+    still open there. Every comparison is written so that NaN fails it.
+    """
     if spec.tau != 2:
         raise InvalidSpecError("not an SSH spec: unit cell period is not 2")
-    if np.max(np.abs(spec.mu)) > 1e-12:
+    if not np.max(np.abs(spec.mu)) <= 1e-12:
         raise InvalidSpecError("not an SSH spec: nonzero on-site energies")
-    if np.max(np.abs(spec.t.imag)) > 1e-12:
-        raise InvalidSpecError("not an SSH spec: complex hoppings")
-    bonds = np.arange(spec.x0 + 1, spec.L - 1)
-    first_sign = 1.0 if bonds[0] % 2 == 0 else -1.0
-    lam = (1.0 - spec.t[0].real) * first_sign
-    expected = 1.0 - lam * np.where(bonds % 2 == 0, 1.0, -1.0)
-    if np.max(np.abs(spec.t.real - expected)) > 1e-12:
+    sign = np.where(np.arange(spec.x0 + 1, spec.L - 1) % 2 == 0, 1.0, -1.0)
+    offset = (1.0 - lam * sign - spec.t) * sign  # the spec's lambda minus lam, on every bond
+    if not np.max(np.abs(offset - offset[0].real)) <= 1e-12:
         raise InvalidSpecError("hoppings do not alternate in the SSH pattern")
-    return float(lam)
+    if not abs(offset[0].real) <= 1e-10:
+        raise InvalidSpecError(
+            f"spec encodes lambda={lam + offset[0].real}, caller passed {lam}"
+        )
+    if not spec.is_commensurate:
+        raise UnsupportedPathError(
+            f"a chain of {spec.n_sites} sites has no zero mode: the closed forms "
+            "need a commensurate chain with an odd site count"
+        )
+    if abs(lam) >= 1:
+        raise SingularityError(f"zero mode undefined at lambda={lam}: a bond has vanished")
 
 
 def zero_mode_sublattice_sign(spec: LatticeSpec) -> float:
@@ -264,11 +276,9 @@ def zero_mode_internal_alpha(spec: LatticeSpec, lam: float) -> complex:
 
     This is the smooth assembly branch; its modulus exceeds 1 when the state
     is bound to the far wall. The conventional representative with modulus
-    below 1 is ``1j * sqrt((1-|lam|)/(1+|lam|))``.
+    below 1 is ``1j * sqrt((1-|lam|)/(1+|lam|))``. It needs |lam| < 1.
     """
     sigma = zero_mode_sublattice_sign(spec)
-    if (1 - sigma * lam) <= 0 or (1 + sigma * lam) <= 0:
-        raise SingularityError(f"zero mode undefined at lambda={lam}: a bond has vanished")
     return 1j * math.sqrt((1 - sigma * lam) / (1 + sigma * lam))
 
 
@@ -307,16 +317,10 @@ def _zero_mode(spec: LatticeSpec, lam: float):
     """Normalised zero mode, |alpha|, x_ref and profile norm.
 
     Amplitudes alpha^x on the zero-mode sublattice, shifted to the end x_ref
-    the state is bound to so large chains do not overflow. Only a
-    commensurate (odd-length) chain has a zero mode; every caller of the zero
-    mode comes through this guard.
+    the state is bound to so large chains do not overflow. Every caller of
+    the zero mode comes through ``_require_zero_mode`` here.
     """
-    _require_ssh(spec, lam)
-    if not spec.is_commensurate:
-        raise UnsupportedPathError(
-            f"a chain of {spec.n_sites} sites has no zero mode: the closed forms "
-            "need a commensurate chain with an odd site count"
-        )
+    _require_zero_mode(spec, lam)
     geo = _geometry(spec.L, spec.x0)
     a_int = abs(zero_mode_internal_alpha(spec, lam))
     x_ref = geo.xp[0] if a_int <= 1.0 else geo.xp[-1]
@@ -387,17 +391,11 @@ def edge_alpha(spec: LatticeSpec, lam: float) -> complex:
     the unique root of the single-site local Schroedinger residual. The root
     is cross-checked against the closed form sqrt((1-|lam|)/(1+|lam|)).
     """
-    _require_ssh(spec, lam)
-    if not spec.is_commensurate or spec.n_sites % 2 == 0:
-        raise InvalidSpecError(
-            "in-gap zero mode requires a commensurate chain with an odd site count"
-        )
+    _require_zero_mode(spec, lam)
     if spec.x0 % 2 == 0:
         raise UnsupportedPathError("edge-state root solving expects odd wall index x0")
     if lam == 0:
         raise SingularityError("lambda=0 has no isolated in-gap root (a -> 1, bulk state)")
-    if abs(lam) >= 1:
-        raise SingularityError(f"|lambda|={abs(lam)} >= 1: a bond vanishes, zero mode degenerate")
     t_first = spec.t[0].real
     lo, hi = 1e-9, 1.0 - 1e-9
     f_lo = _edge_residual(lo, lam, spec.L, spec.x0, t_first)
@@ -427,12 +425,6 @@ def edge_alpha(spec: LatticeSpec, lam: float) -> complex:
             f"bisection root {a_root} disagrees with the closed form {closed_form}"
         )
     return 1j * a_root
-
-
-def _require_ssh(spec: LatticeSpec, lam: float | None):
-    found = ssh_lambda_of(spec)
-    if lam is not None and abs(found - lam) > 1e-10:
-        raise InvalidSpecError(f"spec encodes lambda={found}, caller passed {lam}")
 
 
 def _band_phases(spec: LatticeSpec, lam: float):

@@ -119,8 +119,7 @@ def dense_midpoint_propagate(spec_builder, protocol, dt):
     Same step count, midpoints and Hamiltonian as ``propagate``; only the
     exponential differs. Returns the final state.
     """
-    steps = max(2, math.ceil(protocol.total_time / dt))
-    steps += steps % 2
+    steps = math.ceil(protocol.total_time / dt)
     dt_eff = protocol.total_time / steps
     psi = cdl.in_gap_record(spec_builder(protocol.lambda0), protocol.lambda0).coeffs.copy()
     for j in range(steps):

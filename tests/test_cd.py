@@ -188,8 +188,8 @@ def test_full_generator_range_grows_near_gap_closing():
     make = builder(101)
     near = cdl.full_cd(make(0.9), 0.9).matrix
     far = cdl.full_cd(make(1e-3), 1e-3).matrix
-    assert cdl.diagonal_norm_ratio(near, 10) >= 0.9
-    assert cdl.diagonal_norm_ratio(far, 10) <= 0.5
+    assert cdl.diagonal_norm_ratios(near)[10] >= 0.9
+    assert cdl.diagonal_norm_ratios(far)[10] <= 0.5
 
 
 def test_full_generator_norm_peaks_at_gap_closing():

@@ -121,18 +121,25 @@ def test_gap_scaling_subcommand(tmp_path):
         assert 1.6 <= float(row[4]) <= 2.4
 
 
-def test_validation_errors_exit_two(tmp_path):
-    assert main(["transfer", "--cd", "full", "--lambdaf", "1.0",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+def test_validation_errors_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--grid=nonsense", "--out", str(tmp_path / "y.csv")]) == 2
-    assert main(["cd-spectrum", "--sites", "11", "--grid=-1:1:3",
-                 "--out", str(tmp_path / "z.csv")]) == 2
+    # +-1 are skipped and counted; lambda = 0 is a regular point
+    out = tmp_path / "z.csv"
+    with pytest.warns(UserWarning):
+        assert main(["cd-spectrum", "--sites", "11", "--grid=-1:1:3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 11 and {float(r[0]) for r in rows} == {0.0}
+    assert "skipped 2 singular grid points" in capsys.readouterr().err
 
 
 def test_singularity_abort_exits_three(tmp_path):
     code = main(["transfer", "--sites", "11", "--lambda0", "0.9", "--lambdaf", "1.1",
                  "--time", "1", "--cd", "targeted", "--dt", "1e-2",
                  "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    with pytest.warns(UserWarning):
+        code = main(["transfer", "--cd", "full", "--lambdaf", "1.0",
+                     "--out", str(tmp_path / "y.csv")])
     assert code == 3
 
 
@@ -182,7 +189,10 @@ def test_real_structure_check_fires(tmp_path, monkeypatch):
     ["--cd", "targeted", "--diagonals", "11"],
     ["--cd", "none", "--diagonals", "50"],
     ["--cd", "none", "--diagonals", "3"],
-], ids=["d-sweep-past-band", "diagonals-past-band", "none-wide", "none-narrow"])
+    ["--cd", "targeted", "--d-sweep", "0:10:5", "--diagonals", "3"],
+    ["--cd", "targeted", "--d-sweep", "0:10:5", "--trace", "10"],
+], ids=["d-sweep-past-band", "diagonals-past-band", "none-wide", "none-narrow",
+        "d-sweep-with-diagonals", "d-sweep-with-trace"])
 def test_band_limits_checked_before_any_drive(tmp_path, monkeypatch, argv):
     import cdlattice.cli
 
@@ -263,3 +273,21 @@ def test_certify_runs_clean(capsys):
     captured = capsys.readouterr()
     assert "all checks passed" in captured.out
     assert "FAIL" not in captured.out
+
+
+def test_certify_catches_nonzero_generator_diagonal(capsys, monkeypatch):
+    import cdlattice.cli
+    from cdlattice.states import basis_and_derivatives
+
+    def broken(spec, lam):
+        energies, states, derivatives, norms = basis_and_derivatives(spec, lam)
+        derivatives = derivatives.copy()
+        derivatives[0] += 1e-3 * states[0]  # <psi_0|d psi_0> = 1e-3
+        return energies, states, derivatives, norms
+
+    monkeypatch.setattr(cdlattice.cli, "basis_and_derivatives", broken)
+    assert main(["certify", "--sites", "11"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("cd-diagonal-zero") and "FAIL" in line
+               for line in out.splitlines())
+    assert "FAILURES PRESENT" in out

@@ -95,9 +95,11 @@ def test_truncation_recovers_limits():
 @pytest.mark.parametrize("x0", [-1, 0])
 @pytest.mark.parametrize("mode,d", [("none", None), ("targeted", None), ("full", None),
                                     ("full", 0), ("full", 3)])
-@pytest.mark.parametrize("total_time,dt", [(1.0, 0.05), (10.0, 0.5), (10.0, 2.5), (0.1, 1e-3)])
+@pytest.mark.parametrize("total_time,dt", [(1.0, 0.05), (10.0, 0.5), (10.0, 2.5), (0.1, 1e-3),
+                                          (1.0, 0.2)])
 def test_step_matches_dense_midpoint_oracle(m_sites, x0, mode, d, total_time, dt):
-    # dt 0.5 takes up to 2 Taylor substeps per step, dt 2.5 up to 9
+    # dt 0.5 takes up to 2 Taylor substeps per step, dt 2.5 up to 9; dt 0.2 takes 5 steps,
+    # so the middle midpoint is exactly lambda = 0
     protocol = Protocol(0.9, -0.9, total_time, cd_mode=mode, band_limit=d)
     make = builder(m_sites, x0)
     psi = propagate(make, protocol, dt).final_state

@@ -106,9 +106,9 @@ def test_gap_needs_two_levels():
 def test_norm_edge_cases():
     zero = np.zeros((4, 4))
     assert cdl.frobenius_norm(zero) == 0.0
-    assert cdl.diagonal_norm_ratio(zero, 2) == 1.0
+    np.testing.assert_array_equal(cdl.diagonal_norm_ratios(zero), np.ones(4))
     gen = cdl.full_cd(cdl.ssh_spec(11, -1, 0.4), 0.4).matrix
-    assert cdl.diagonal_norm_ratio(gen, 10) == pytest.approx(1.0, abs=1e-15)
+    assert cdl.diagonal_norm_ratios(gen)[10] == pytest.approx(1.0, abs=1e-15)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -117,9 +117,12 @@ def test_kept_norm_ratio_monotone(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     m = (a + a.conj().T) / 2
-    ratios = [cdl.diagonal_norm_ratio(m, d) for d in range(12)]
+    ratios = cdl.diagonal_norm_ratios(m)
     assert all(b >= a - 1e-14 for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=1e-14)
+    # one pass gives the ratio of band-limiting to each d
+    direct = [cdl.frobenius_norm(cdl.band_limit(m, d)) / cdl.frobenius_norm(m) for d in range(12)]
+    np.testing.assert_allclose(ratios, direct, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +147,17 @@ def test_bare_sweep_uniform_point():
     )
 
 
-def test_cd_sweep_rejects_singular_grid_points():
-    for bad in (0.0, 1.0, -1.0):
-        with pytest.raises(InvalidSpecError):
-            cdl.spectrum_sweep(11, -1, np.array([0.5, bad]), mode="targeted-cd")
+def test_cd_sweep_flags_vanished_bonds_and_computes_zero():
+    with pytest.warns(UserWarning):
+        table = cdl.spectrum_sweep(11, -1, np.array([-1.0, 0.0, 1.0]), mode="targeted-cd",
+                                   drive_rate=-1.8)
+    assert table.flags[0] is not None and table.flags[2] is not None
+    assert np.all(np.isnan(table.eigenvalues[[0, 2]]))
+    # lambda = 0 is a regular point of the odd chain
+    assert table.flags[1] is None
+    spec = cdl.ssh_spec(11, -1, 0.0)
+    h = cdl.build_hamiltonian(spec) - 1.8 * cdl.targeted_cd(spec, 0.0).matrix
+    np.testing.assert_allclose(table.eigenvalues[1], np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
 
 
 def test_cd_sweep_flags_rows_beyond_gap_collapse():
