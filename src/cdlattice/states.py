@@ -252,7 +252,7 @@ def _require_zero_mode(spec: LatticeSpec, lam: float) -> None:
     sign = np.where(np.arange(spec.x0 + 1, spec.L - 1) % 2 == 0, 1.0, -1.0)
     offset = (1.0 - lam * sign - spec.t) * sign  # the spec's lambda minus lam, on every bond
     if not np.max(np.abs(offset - offset[0].real)) <= 1e-12:
-        raise InvalidSpecError("hoppings do not alternate in the SSH pattern")
+        raise InvalidSpecError(f"hoppings do not alternate in the SSH pattern at lambda={lam}")
     if not abs(offset[0].real) <= 1e-10:
         raise InvalidSpecError(
             f"spec encodes lambda={lam + offset[0].real}, caller passed {lam}"

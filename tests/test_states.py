@@ -1,4 +1,5 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,38 +250,40 @@ def test_full_basis_requires_matching_lambda():
         cdl.full_basis(cdl.ssh_spec(11, -1, 0.5), 0.7)
 
 
-def _with(spec, **changes):
-    fields = {"x0": spec.x0, "L": spec.L, "t": spec.t, "mu": spec.mu, "tau": spec.tau}
-    return LatticeSpec(**{**fields, **changes})
-
-
 def _guard_cases():
     base = cdl.ssh_spec(11, -1, 0.5)
     kinked = base.t.copy()
     kinked[3] += 1e-9
-    return [
-        ("period-1", _with(base, tau=1), 0.5, InvalidSpecError),
-        ("on-site", _with(base, mu=base.mu + 1e-9), 0.5, InvalidSpecError),
-        ("kinked-bond", _with(base, t=kinked), 0.5, InvalidSpecError),
-        ("complex-bond", _with(base, t=base.t + 1e-9j), 0.5, InvalidSpecError),
+    sign = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)  # bonds at x = 0..9
+    cases = [
+        ("period-1", replace(base, tau=1), 0.5, InvalidSpecError),
+        ("on-site", replace(base, mu=base.mu + 1e-9), 0.5, InvalidSpecError),
+        ("kinked-bond", replace(base, t=kinked), 0.5, InvalidSpecError),
+        ("complex-bond", replace(base, t=base.t + 1e-9j), 0.5, InvalidSpecError),
         ("other-lambda", base, 0.5 + 1e-9, InvalidSpecError),
         ("nan-lambda", cdl.ssh_spec(11, -1, float("nan")), float("nan"), InvalidSpecError),
         ("even-chain", cdl.ssh_spec(10, -1, 0.5), 0.5, UnsupportedPathError),
-        ("bond-gone", _with(base, t=1.0 - np.where(np.arange(10) % 2 == 0, 1.0, -1.0)),
-         1.0, SingularityError),
-        ("bond-flipped", _with(base, t=1.0 + 1.2 * np.where(np.arange(10) % 2 == 0, 1.0, -1.0)),
-         -1.2, SingularityError),
+        ("bond-gone", replace(base, t=1.0 - sign), 1.0, SingularityError),
+        ("bond-flipped", replace(base, t=1.0 + 1.2 * sign), -1.2, SingularityError),
     ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("entry", [
+ZERO_MODE_ENTRY_POINTS = pytest.mark.parametrize("entry", [
     cdl.in_gap_record, cdl.basis_and_derivatives, cdl.full_basis, cdl.full_cd,
     cdl.targeted_cd, cdl.edge_alpha,
 ], ids=lambda f: f.__name__)
-def test_every_zero_mode_entry_point_guarded_alike(entry):
-    for name, spec, lam, error in _guard_cases():
-        with pytest.raises(error):
-            entry(spec, lam)
+
+
+@ZERO_MODE_ENTRY_POINTS
+@pytest.mark.parametrize("spec,lam,error", _guard_cases())
+def test_every_zero_mode_entry_point_guarded_alike(entry, spec, lam, error):
+    with pytest.raises(error):
+        entry(spec, lam)
+
+
+@ZERO_MODE_ENTRY_POINTS
+def test_zero_mode_guard_passes_regular_points(entry):
     # lambda agrees to 1e-10, and lambda = 0 is a regular point
     entry(cdl.ssh_spec(11, -1, 0.5), 0.5 + 1e-11)
     if entry is not cdl.edge_alpha:  # bisection has no isolated root there
