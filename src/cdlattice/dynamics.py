@@ -93,12 +93,11 @@ def band_limit(m: np.ndarray, d: int) -> np.ndarray:
     return np.where(np.abs(i - j) <= d, m, 0.0)
 
 
-def _tridiagonal_apply(diag: np.ndarray, up: np.ndarray, down: np.ndarray,
-                       v: np.ndarray) -> np.ndarray:
-    """Product of the tridiagonal matrix (diag, upper ``up``, lower ``down``) with v."""
-    w = diag * v
-    w[:-1] += up * v[1:]
-    w[1:] += down * v[:-1]
+def _bond_apply(bonds: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of the zero-diagonal tridiagonal matrix with both off-diagonals ``bonds`` and v."""
+    w = np.zeros_like(v)
+    w[:-1] = bonds * v[1:]
+    w[1:] += bonds * v[:-1]
     return w
 
 
@@ -134,21 +133,20 @@ def _expm_apply(apply, psi: np.ndarray, theta: float) -> np.ndarray:
 def _step_operator(spec: LatticeSpec, gen: np.ndarray | None, rate: float, phase: complex):
     """Action of phase * h for h = H + rate * gen, and a bound on ||h||_2.
 
-    Without a generator, H acts as its tridiagonal stencil: O(M) and no BLAS
-    call. With one, gen is scaled by rate and H is folded into it in place
-    (each step builds its own gen), so each series term costs one matvec; h
-    is Hermitian, so its 2-norm is at most its largest column abs-sum.
+    Without a generator, H acts as its zero-diagonal stencil of the real
+    bonds: O(M) and no BLAS call. With one, gen is scaled by rate and the
+    bonds are added to both its off-diagonals in place (each step builds its
+    own gen), so each series term costs one matvec; h is Hermitian, so its
+    2-norm is at most its largest column abs-sum.
     """
-    mu, t = spec.mu, spec.t
+    t = spec.t
     if gen is None:
-        diag, up, down = phase * mu, phase * t, phase * t.conj()
-        bound = np.abs(mu).max() + 2.0 * np.abs(t).max()
-        return (lambda v: _tridiagonal_apply(diag, up, down, v)), float(bound)
+        bonds = phase * t
+        return (lambda v: _bond_apply(bonds, v)), float(2.0 * np.abs(t).max())
     h = np.multiply(gen, rate, out=gen)  # gen is C-ordered: the flat view below writes into h
-    flat, m = h.reshape(-1), len(mu)
-    flat[:: m + 1] += mu
+    flat, m = h.reshape(-1), spec.n_sites
     flat[1 :: m + 1] += t
-    flat[m :: m + 1] += t.conj()
+    flat[m :: m + 1] += t
     bound = np.abs(h).sum(axis=0).max()
     h *= phase
     return (lambda v: h @ v), float(bound)
@@ -208,7 +206,7 @@ def propagate(
             lam_now = protocol.lam(t_now)
             spec_now = spec_builder(lam_now)
             inst = in_gap_record(spec_now, lam_now).coeffs
-            h_psi = _tridiagonal_apply(spec_now.mu, spec_now.t, spec_now.t.conj(), psi)
+            h_psi = _bond_apply(spec_now.t, psi)
             trace.append(
                 {
                     "t": t_now,

@@ -123,13 +123,17 @@ def test_gap_scaling_subcommand(tmp_path):
 
 def test_validation_errors_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--grid=nonsense", "--out", str(tmp_path / "y.csv")]) == 2
+    assert "grid must be start:stop:count" in capsys.readouterr().err
     # +-1 are skipped and counted; lambda = 0 is a regular point
     out = tmp_path / "z.csv"
-    with pytest.warns(UserWarning):
-        assert main(["cd-spectrum", "--sites", "11", "--grid=-1:1:3", "--out", str(out)]) == 0
+    assert main(["cd-spectrum", "--sites", "11", "--grid=-1:1:3", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 11 and {float(r[0]) for r in rows} == {0.0}
-    assert "skipped 2 singular grid points" in capsys.readouterr().err
+    assert capsys.readouterr().err == "skipped 2 singular grid points\n"
+    # the bare spectrum has no singular point, so nothing reaches stderr
+    assert main(["spectrum", "--sites", "11", "--grid=-1:1:3",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_singularity_abort_exits_three(tmp_path):
@@ -137,9 +141,8 @@ def test_singularity_abort_exits_three(tmp_path):
                  "--time", "1", "--cd", "targeted", "--dt", "1e-2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
-    with pytest.warns(UserWarning):
-        code = main(["transfer", "--cd", "full", "--lambdaf", "1.0",
-                     "--out", str(tmp_path / "y.csv")])
+    code = main(["transfer", "--cd", "full", "--lambdaf", "1.0",
+                 "--out", str(tmp_path / "y.csv")])
     assert code == 3
 
 

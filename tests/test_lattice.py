@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import cdlattice as cdl
 from cdlattice.errors import InvalidSpecError
-from cdlattice.lattice import LatticeSpec
 
 
 def test_ssh_spec_alternating_bonds():
@@ -16,7 +15,6 @@ def test_ssh_spec_alternating_bonds():
     expected = np.where(bonds % 2 == 0, 0.1, 1.9)
     np.testing.assert_allclose(spec.t.real, expected, atol=1e-15)
     assert np.all(spec.mu == 0)
-    assert spec.tau == 2
 
 
 def test_ssh_spec_uniform_at_zero_coupling():
@@ -36,20 +34,8 @@ def test_ssh_spec_too_small_rejected():
         cdl.ssh_spec(1, -1, 0.5)
 
 
-def test_ssh_spec_flags_gapless_coupling():
-    with pytest.warns(UserWarning):
-        cdl.ssh_spec(11, -1, 1.0)
-
-
-def test_spec_validation_shapes():
-    with pytest.raises(InvalidSpecError):
-        LatticeSpec(x0=-1, L=4, t=np.ones(5), mu=np.zeros(4), tau=1)
-    with pytest.raises(InvalidSpecError):
-        LatticeSpec(x0=-1, L=4, t=np.ones(3), mu=np.zeros(2), tau=1)
-
-
 def test_three_site_uniform_chain_spectrum():
-    spec = LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
+    spec = cdl.ssh_spec(3, -1, 0.0)
     h = cdl.build_hamiltonian(spec)
     # k = pi n / 4 gives E = 2 cos(pi n / 4)
     expected = np.sort([2 * np.cos(np.pi * n / 4) for n in (1, 2, 3)])
@@ -76,6 +62,14 @@ def test_ssh_spectrum_symmetric_pairs(m, lam):
         assert np.min(np.abs(w)) <= 1e-10
 
 
-def test_commensurate_flag():
-    assert cdl.ssh_spec(11, -1, 0.5).is_commensurate
-    assert not cdl.ssh_spec(10, -1, 0.5).is_commensurate
+@given(
+    x0=st.sampled_from([-2, -1, 0, 1]),
+    m=st.integers(min_value=2, max_value=41),
+    lam=st.floats(min_value=-1.5, max_value=1.5),
+)
+def test_hamiltonian_bonds_follow_absolute_site_labels(x0, m, lam):
+    h = cdl.build_hamiltonian(cdl.ssh_spec(m + x0 + 1, x0, lam))
+    assert np.all(np.diag(h) == 0)
+    for i in range(m - 1):
+        bond = 1.0 - lam * (-1) ** (x0 + 1 + i)  # couples sites x0+1+i and x0+2+i
+        assert h[i, i + 1] == bond and h[i + 1, i] == bond

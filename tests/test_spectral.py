@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 import cdlattice as cdl
 from cdlattice.errors import InvalidSpecError, NotHermitianError
-from cdlattice.lattice import LatticeSpec
 
 
 def test_eigh_uniform_three_site_chain():
-    spec = LatticeSpec(x0=-1, L=3, t=np.ones(2, dtype=complex), mu=np.zeros(3), tau=1)
+    spec = cdl.ssh_spec(3, -1, 0.0)
     w, v = cdl.eigh(cdl.build_hamiltonian(spec))
     np.testing.assert_allclose(w, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
@@ -148,9 +147,8 @@ def test_bare_sweep_uniform_point():
 
 
 def test_cd_sweep_flags_vanished_bonds_and_computes_zero():
-    with pytest.warns(UserWarning):
-        table = cdl.spectrum_sweep(11, -1, np.array([-1.0, 0.0, 1.0]), mode="targeted-cd",
-                                   drive_rate=-1.8)
+    table = cdl.spectrum_sweep(11, -1, np.array([-1.0, 0.0, 1.0]), mode="targeted-cd",
+                               drive_rate=-1.8)
     assert table.flags[0] is not None and table.flags[2] is not None
     assert np.all(np.isnan(table.eigenvalues[[0, 2]]))
     # lambda = 0 is a regular point of the odd chain
@@ -161,8 +159,7 @@ def test_cd_sweep_flags_vanished_bonds_and_computes_zero():
 
 
 def test_cd_sweep_flags_rows_beyond_gap_collapse():
-    with pytest.warns(UserWarning):
-        table = cdl.spectrum_sweep(11, -1, np.array([0.5, 1.2]), mode="targeted-cd")
+    table = cdl.spectrum_sweep(11, -1, np.array([0.5, 1.2]), mode="targeted-cd")
     assert table.flags[0] is None
     assert table.flags[1] is not None
     assert np.all(np.isnan(table.eigenvalues[1]))
