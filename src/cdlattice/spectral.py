@@ -49,9 +49,9 @@ def gap_to_zero_mode(eigenvalues: np.ndarray) -> float:
     return float(np.min(np.abs(others - w[idx])))
 
 
-def ssh_gap_formula(lam: float, L: int) -> float:
-    """Closed-form bare gap of the commensurate chain with walls at -1 and L."""
-    c = math.cos((L - 1) * math.pi / (L + 1))
+def ssh_gap_formula(lam: float, m_sites: int) -> float:
+    """Closed-form bare gap of the odd commensurate chain of ``m_sites`` sites, at any wall."""
+    c = math.cos((m_sites - 1) * math.pi / (m_sites + 1))
     return math.sqrt(2.0) * math.sqrt(1.0 + lam**2 + (1.0 - lam**2) * c)
 
 

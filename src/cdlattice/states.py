@@ -285,7 +285,6 @@ def _geometry(L: int, x0: int) -> SimpleNamespace:
     ks = ks[ks < np.pi / 2 - 1e-12][:, None]
     theta = ks * (xs - L)
     geometry = SimpleNamespace(
-        xs=xs,
         sign_flip=np.where(xs % 2 == 1, -1.0, 1.0),  # band 1 is band 0 with odd sites negated
         alpha=np.exp(1j * ks),
         cos2_k=np.cos(ks) ** 2,
@@ -319,17 +318,16 @@ def _zero_mode(spec: LatticeSpec, lam: float):
     return psi, a_int, x_ref, nrm
 
 
-def _zero_mode_and_derivative(spec: LatticeSpec, lam: float):
-    """Zero mode and its projected lambda-derivative.
-
-    d alpha/alpha is the same on every site, so the derivative is
-    psi(x) (x - <x>) dlog alpha.
-    """
-    psi = _zero_mode(spec, lam)[0]
-    xs = _geometry(spec.L, spec.x0).xs
+def _zero_mode_factors(spec: LatticeSpec, lam: float):
+    """Zero mode psi, then its projected lambda-derivative p and itself q on its sublattice,
+    real with the first site's phase i^(x0+1) divided out: p = q (x - <x>) dlog alpha,
+    x measured from the end x_ref the state is bound to (not from 0, to keep <x> exact)."""
+    psi, _, x_ref, _ = _zero_mode(spec, lam)
+    geo = _geometry(spec.L, spec.x0)
+    q = (psi[::2] * geo.zero_phases[0].conjugate()).real  # exact: the phase is +-1 or +-i
+    offsets = geo.xp - x_ref
     dlog_alpha = -zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
-    mean_x = float(np.sum(xs * np.abs(psi) ** 2))
-    return psi, psi * ((xs - mean_x) * dlog_alpha)
+    return psi, q * ((offsets - np.dot(offsets, q * q)) * dlog_alpha), q
 
 
 def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
@@ -337,7 +335,9 @@ def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
 
     Assembled from the sublattice-polarized recursion (amplitudes alpha^x on
     one parity, zero on the other), which is the regular limit of the
-    two-branch form at zero energy.
+    two-branch form at zero energy. By that form's absolute site labels ``norm``
+    is exp(-x_ref log a) / |psi~|, psi~ being the profile shifted to the end
+    x_ref the state is bound to; it flushes to 0 once |x_ref log a| >= 700.
     """
     psi, a_int, x_ref, nrm = _zero_mode(spec, lam)
     log_a = math.log(a_int)
@@ -443,8 +443,10 @@ def basis_and_derivatives(spec: LatticeSpec, lam: float):
     of the module docstring, with the factors from ``_band_phases``;
     ``branch_norms`` holds |psi~| = sqrt(2(L-x0)) of the two-branch form.
     """
-    psi, dpsi = _zero_mode_and_derivative(spec, lam)
+    psi, p, _ = _zero_mode_factors(spec, lam)
     geo = _geometry(spec.L, spec.x0)
+    dpsi = np.zeros_like(psi)
+    dpsi[::2] = p * geo.zero_phases[0]
     energy, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
     scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
     p0 = geo.sin_theta * scale

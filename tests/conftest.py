@@ -9,7 +9,6 @@ from cdlattice.states import (
     _band_energy,
     _bloch_second_components,
     _bloch_second_derivatives,
-    _zero_mode_and_derivative,
 )
 
 settings.register_profile(
@@ -94,12 +93,17 @@ def two_branch_snapshot(spec, lam):
     p0 = psi_t / norms
     dp0 = dpsi_t / norms
     dp0 -= np.sum(p0.conj() * dp0, axis=1, keepdims=True) * p0
-    psi, dpsi = _zero_mode_and_derivative(spec, lam)
+    _, zero_rows, zero_derivatives, _ = cdl.basis_and_derivatives(spec, lam)
+    psi, dpsi = zero_rows[-1], zero_derivatives[-1]
     flip = np.where(odd, -1.0, 1.0)
     energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
     states = np.concatenate((p0, p0 * flip, psi[None, :]))
     derivatives = np.concatenate((dp0, dp0 * flip, dpsi[None, :]))
     return energies, states, derivatives, norms[:, 0]
+
+
+def max_relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def project_out(state, vector):

@@ -2,10 +2,12 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cdlattice as cdl
 from cdlattice.errors import SingularityError
-from conftest import builder, fd_state_derivative, project_out, snapshot_rows
+from conftest import builder, fd_state_derivative, max_relative, project_out, snapshot_rows
 
 FD_STEP = 1e-6
 
@@ -271,13 +273,16 @@ def test_generators_match_dense_oracle_on_both_wall_parities(x0, m_sites, lam):
     column = oracle @ psi
     targeted = targeted_gen.matrix @ psi
     assert np.max(np.abs(targeted - column)) <= 1e-10 * np.max(np.abs(column))
-    # both are stored as the read-only real antisymmetric K of A = i K on the
-    # zero-mode sublattice, and .matrix embeds exactly that
+    # both are stored as the read-only real vectors (t, p, q) of the real
+    # antisymmetric K of A = i K on the zero-mode sublattice; .block builds K
+    # and .matrix embeds exactly that
     half = (m_sites + 1) // 2
     for gen in (full_gen, targeted_gen):
+        for vector in (gen.t, gen.p, gen.q):
+            assert vector.shape == (half,)
+            assert vector.dtype == np.float64 and not vector.flags.writeable
         block, matrix = gen.block, gen.matrix
-        assert block.shape == (half, half)
-        assert block.dtype == np.float64 and not block.flags.writeable
+        assert block.shape == (half, half) and block.dtype == np.float64
         assert np.all(block + block.T == 0.0)
         np.testing.assert_array_equal(matrix.imag[::2, ::2], block)
         off_block = matrix.copy()
@@ -285,6 +290,7 @@ def test_generators_match_dense_oracle_on_both_wall_parities(x0, m_sites, lam):
         assert np.all(off_block == 0.0)
         assert np.all(matrix.real == 0.0)
         assert cdl.frobenius_norm(block) == pytest.approx(cdl.frobenius_norm(matrix), rel=1e-13)
+        assert gen.frobenius == pytest.approx(cdl.frobenius_norm(block), rel=1e-12)
 
 
 def test_geometry_cache_is_bounded():
@@ -294,3 +300,83 @@ def test_geometry_cache_is_bounded():
     for m_sites in range(11, 11 + 2 * (bound + 2), 2):
         cdl.full_cd(cdl.ssh_spec(m_sites, -1, 0.5), 0.5)
     assert _geometry.cache_info().currsize == bound
+
+
+# ---------------------------------------------------------------------------
+# closed form: the stored vectors (t, p, q)
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_LAMBDAS = [0.0, 1e-8, -1e-8, 1e-3, 0.3, -0.5, 0.97, -0.97]
+
+
+@pytest.mark.parametrize("lam", CLOSED_FORM_LAMBDAS)
+@pytest.mark.parametrize("x0", [-1, 0])
+@pytest.mark.parametrize("m_sites", [11, 101, 401])
+def test_factor_norms_match_block_and_dense_oracle(m_sites, x0, lam):
+    spec = cdl.ssh_spec(m_sites + x0 + 1, x0, lam)
+    full, targeted = cdl.full_cd(spec, lam), cdl.targeted_cd(spec, lam)
+    oracle = dense_cd_oracle(spec, lam)
+    psi = cdl.in_gap_record(spec, lam).coeffs
+    derivatives = cdl.basis_and_derivatives(spec, lam)[2]
+    # the targeted term is A|z><z| + |z><z|A with <z|A|z> = 0, and
+    # ||sum_n |d n><n| ||_F^2 = sum_n ||d n||^2 over orthonormal states
+    dense = (np.linalg.norm(oracle), np.sqrt(2.0) * np.linalg.norm(oracle @ psi))
+    k_sum = (np.linalg.norm(derivatives), np.sqrt(2.0) * np.linalg.norm(derivatives[-1]))
+    # at |lambda| = 0.97 a band is 0.06 wide, and from 101 sites on eigh's
+    # roundoff over its level spacings leaves the dense oracle ~1e-11 off
+    dense_resolves = abs(lam) < 0.9 or m_sites == 11
+    for gen, dense_norm, k_sum_norm in zip((full, targeted), dense, k_sum):
+        assert gen.frobenius == pytest.approx(cdl.frobenius_norm(gen.block), rel=1e-12)
+        assert gen.frobenius == pytest.approx(k_sum_norm, rel=1e-12)
+        if dense_resolves:
+            assert gen.frobenius == pytest.approx(dense_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", CLOSED_FORM_LAMBDAS)
+@pytest.mark.parametrize("x0", [-2, -1, 0, 1])
+@pytest.mark.parametrize("m_sites", [11, 101])
+def test_closed_form_matches_band_sum(m_sites, x0, lam):
+    # i sum_n |d psi_n><psi_n| over the rows of the k-sum snapshot, an assembly
+    # that full_cd does not read
+    spec = cdl.ssh_spec(m_sites + x0 + 1, x0, lam)
+    _, states, derivatives, _ = cdl.basis_and_derivatives(spec, lam)
+    band_sum = 1j * derivatives.T @ states.conj()
+    assert max_relative(cdl.full_cd(spec, lam).matrix, band_sum) <= 1e-11
+
+
+@given(half=st.integers(min_value=2, max_value=60),
+       x0=st.integers(min_value=-2, max_value=1),
+       shift=st.integers(min_value=-10**6, max_value=10**6),
+       lam=st.one_of(st.sampled_from([0.0, 0.999, -0.999]),
+                     st.floats(min_value=-0.999, max_value=0.999, allow_subnormal=False)))
+def test_wall_shift_leaves_generators_unchanged(half, x0, shift, lam):
+    # moving both walls by 2s flips the zero mode's phase i^x by (-1)^s; the
+    # stored vectors divide that phase out, so they and K do not move at all
+    m_sites = 2 * half + 1
+    specs = [cdl.ssh_spec(m_sites + x + 1, x, lam) for x in (x0, x0 + 2 * shift)]
+    psi = [cdl.in_gap_record(spec, lam).coeffs for spec in specs]
+    np.testing.assert_array_equal(psi[1], (-1) ** shift * psi[0])
+    for make in (cdl.full_cd, cdl.targeted_cd):
+        base, moved = (make(spec, lam) for spec in specs)
+        for a, b in ((base.t, moved.t), (base.p, moved.p), (base.q, moved.q),
+                     (base.block, moved.block)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+        assert moved.frobenius == pytest.approx(base.frobenius, rel=1e-13)
+
+
+def test_cd_reads_no_band_state_helper():
+    # the band k-sum of states stays an independent oracle for the closed form
+    import ast
+    import inspect
+
+    import cdlattice.cd
+
+    from_states = []
+    for node in ast.walk(ast.parse(inspect.getsource(cdlattice.cd))):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = [alias.name for alias in node.names]
+        assert not any(name.endswith("states") for name in names)  # no module handle
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("states"):
+            from_states += names
+    assert from_states and all("zero_mode" in name for name in from_states)

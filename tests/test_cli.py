@@ -180,7 +180,7 @@ def test_real_structure_check_fires(tmp_path, monkeypatch):
 
     # a negative tolerance fails every finite residual, so the check itself must raise
     monkeypatch.setattr("cdlattice.cd._STRUCTURE_TOL", -1.0)
-    with pytest.raises(ArithmeticError, match="anti-Hermitian residual"):
+    with pytest.raises(ArithmeticError, match="zero-mode action residual"):
         cdl.full_cd(cdl.ssh_spec(11, -1, 0.5), 0.5)
     code = main(["transfer", "--sites", "11", "--cd", "full", "--dt", "1e-2",
                  "--out", str(tmp_path / "x.csv")])
@@ -294,3 +294,33 @@ def test_certify_catches_nonzero_generator_diagonal(capsys, monkeypatch):
     assert any(line.startswith("cd-diagonal-zero") and "FAIL" in line
                for line in out.splitlines())
     assert "FAILURES PRESENT" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cd-matrix", "--sites", "401", "--lambda=-0.999", "--mode", "full"],
+    ["norm", "--sites", "401", "--grid=-0.999:-0.99:2"],
+], ids=["cd-matrix", "norm"])
+def test_full_generator_near_vanished_bond_at_far_wall(tmp_path, argv):
+    # the zero mode sits 400 sites from x = 0; its derivative is measured from
+    # that wall, so <z|dz> carries no |x| eps of roundoff to fail the action check
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows and all(np.isfinite(float(c)) for r in rows for c in r)
+
+
+def test_certify_passes_off_the_standard_wall(capsys):
+    assert main(["certify", "--sites", "11", "--x0", "1"]) == 0
+    out = capsys.readouterr().out
+    assert any(line.startswith("gap-formula") and "PASS" in line for line in out.splitlines())
+    assert "all checks passed" in out
+
+
+def test_gap_scaling_formula_off_the_standard_wall(tmp_path):
+    out = tmp_path / "gap.csv"
+    assert main(["gap-scaling", "--x0", "1", "--sizes", "11:21:2", "--out", str(out)]) == 0
+    columns, rows = read_csv(out)
+    numeric = np.array([float(r[columns.index("gap_bare_numeric")]) for r in rows])
+    formula = np.array([float(r[columns.index("gap_bare_formula")]) for r in rows])
+    assert np.all(np.isfinite(formula))
+    np.testing.assert_allclose(formula, numeric, rtol=0, atol=1e-10)

@@ -120,7 +120,7 @@ def test_trace_energy_matches_dense_expectation(mode):
 def test_non_finite_generator_aborts(monkeypatch):
     def poisoned(spec, lam):
         half = (spec.n_sites + 1) // 2
-        return GaugePotentialMatrix(np.full((half, half), np.nan))
+        return GaugePotentialMatrix(*np.full((3, half), np.nan))  # t, p and q
 
     monkeypatch.setattr("cdlattice.dynamics.targeted_cd", poisoned)
     with pytest.raises(SingularityError, match="non-finite"):

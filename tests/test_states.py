@@ -13,7 +13,7 @@ from cdlattice.errors import (
     UnsupportedPathError,
 )
 from cdlattice.states import zero_mode_internal_alpha
-from conftest import two_branch_snapshot
+from conftest import max_relative, two_branch_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,15 @@ def test_zero_mode_guard_passes_regular_points(entry):
         entry(cdl.ssh_spec(11, -1, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("lam", [0.999, -0.999])
+@pytest.mark.parametrize("x0", [-2, -1])
+def test_zero_mode_derivative_orthogonal_at_far_wall(x0, lam):
+    # at 1601 sites one of the two signs binds the zero mode 1600 sites from x = 0
+    spec = cdl.ssh_spec(1601 + x0 + 1, x0, lam)
+    _, states, derivatives, _ = cdl.basis_and_derivatives(spec, lam)
+    assert abs(np.vdot(states[-1], derivatives[-1])) <= 1e-14 * np.linalg.norm(derivatives[-1])
+
+
 def test_full_basis_other_odd_wall():
     # walls at 1 and 14: twelve sites starting on an even label
     spec = cdl.ssh_spec(14, 1, 0.4)
@@ -295,10 +304,6 @@ def test_full_basis_other_odd_wall():
 # ---------------------------------------------------------------------------
 # real standing-wave snapshot
 # ---------------------------------------------------------------------------
-
-def max_relative(a, b):
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-
 
 @pytest.mark.parametrize("lam", [0.9, 0.3, -0.5, 1e-3, 0.97, -0.97])
 @pytest.mark.parametrize("m_sites", [11, 13, 21, 101])
