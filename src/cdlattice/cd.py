@@ -15,20 +15,50 @@ r = (1 - |lambda|)/(1 + |lambda|), N = L - x0 and sigma the zero-mode sublattice
 sign; at lambda = 0 it is 2 sigma (-1)^m (1 - 2m/N). The full CD term thus decays
 by r every two sites. The targeted generator has t = 0 and p doubled. No band
 state of ``states`` is read here, so they stay an independent check.
+
+Each closed form broadcasts over an array of lambda, one row per entry, bit
+for bit as the single-lambda call: ``generator_blocks`` builds the blocks K of
+a ramp's chunk of midpoints in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularityError
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, _col, _each, _first_false
 from .states import _zero_mode_factors, zero_mode_sublattice_sign
 
 _STRUCTURE_TOL = 1e-10
+
+
+def _kernel(t: np.ndarray) -> np.ndarray:
+    """The Toeplitz part of K at a - b = -(n-1) .. n-1, one row per row of t."""
+    zero = np.zeros(t.shape[:-1] + (1,))
+    return 0.5 * np.concatenate((t[..., :0:-1], zero, -t[..., 1:]), axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Index a - b + n - 1 of the kernel entry at row a, column b of K, read-only."""
+    a = np.arange(n)
+    index = a[:, None] - a + (n - 1)
+    index.setflags(write=False)
+    return index
+
+
+def _block(t: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """K from its vectors, one n x n block per row of (t, p, q)."""
+    half = p[..., None] * (0.5 * q[..., None, :])
+    block = half - half.mT
+    del half  # a ramp's chunk of blocks then holds at most two blocks per lambda at once
+    if t.any():  # the targeted generator has no Toeplitz part
+        block += _kernel(t)[..., _toeplitz_index(q.shape[-1])]
+    return block
 
 
 @dataclass(frozen=True)
@@ -40,18 +70,9 @@ class GaugePotentialMatrix:
     p: np.ndarray
     q: np.ndarray
 
-    def _kernel(self) -> np.ndarray:
-        """The Toeplitz part of K at a - b = -(n-1) .. n-1."""
-        return 0.5 * np.concatenate((self.t[:0:-1], (0.0,), -self.t[1:]))
-
     @property
     def block(self) -> np.ndarray:
-        half = self.p[:, None] * (0.5 * self.q)
-        block = half - half.T
-        if self.t.any():  # the targeted generator has no Toeplitz part
-            a = np.arange(len(self.q))
-            block += self._kernel()[a[:, None] - a + (len(a) - 1)]
-        return block
+        return _block(self.t, self.p, self.q)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -70,11 +91,55 @@ class GaugePotentialMatrix:
                          + 0.5 * (np.dot(p, p) * np.dot(q, q) - np.dot(p, q) ** 2))
 
 
-def _generator(t: np.ndarray, p: np.ndarray, q: np.ndarray, lam: float) -> GaugePotentialMatrix:
-    """Check that (t, p, q) are finite and store them read-only."""
-    # a non-finite entry leaves its dot product non-finite
-    if not math.isfinite(np.dot(t, t) + np.dot(p, q)):
-        raise SingularityError(f"non-finite generator entries at lambda={lam}")
+@functools.lru_cache(maxsize=16)
+def _toeplitz_geometry(n: int, n_walls: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda-independent parts of t: m, N - 2m and the lambda = 0 ratio 1 - 2m/N, read-only."""
+    m = np.arange(n)
+    parts = (m, n_walls - 2 * m, 1.0 - 2.0 * m / n_walls)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
+def _toeplitz(spec: LatticeSpec, lam) -> np.ndarray:
+    """t of the module docstring, one row per entry of an array ``lam``."""
+    n_walls = spec.L - spec.x0
+    m, span, limit = _toeplitz_geometry((spec.n_sites + 1) // 2, n_walls)
+    log_r = _each(math.log1p, -abs(lam)) - _each(math.log1p, abs(lam))
+    # t[m] = scale (-r)^m (1 - r^(N-2m)) / (1 - r^N) for even N, accurate as lambda -> 0
+    ratio = np.empty(getattr(lam, "shape", ()) + m.shape)
+    ratio[...] = limit
+    np.divide(np.expm1(span * _col(log_r)), _col(_each(math.expm1, n_walls * log_r)),
+              out=ratio, where=_col(lam != 0.0))
+    scale = 2.0 * zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
+    return _col(scale) * np.power(-_col(_each(math.exp, log_r)), m) * ratio
+
+
+def _targeted(dz: np.ndarray, z: np.ndarray) -> tuple:
+    """(t, p, q) of the targeted generator: no Toeplitz part and p doubled."""
+    return np.zeros_like(z), 2.0 * dz, z
+
+
+def _vectors(spec: LatticeSpec, lam, mode: str) -> tuple:
+    """(t, p, q) of the full or targeted generator, one row per entry of an array ``lam``,
+    each checked to be finite."""
+    _, dz, z = _zero_mode_factors(spec, lam)  # guards the spec first
+    t, p, q = (_toeplitz(spec, lam), dz, z) if mode == "full" else _targeted(dz, z)
+    # a non-finite entry leaves its dot product non-finite, which fails |x| < inf
+    if (i := _first_false(abs(np.vecdot(t, t) + np.vecdot(p, q)) < math.inf)) is not None:
+        raise SingularityError(f"non-finite generator entries at lambda={np.ravel(lam)[i]}")
+    return t, p, q
+
+
+def _check_action(action: np.ndarray, p: np.ndarray) -> None:
+    """K q = p, the sublattice form of A|z> = i|dz>, given the action K q; one row per row of p."""
+    residual, size = np.abs(action - p).max(axis=-1), np.abs(p).max(axis=-1)
+    if (i := _first_false(~(residual > _STRUCTURE_TOL * size))) is not None:
+        raise ArithmeticError(f"zero-mode action residual |K z - dz| = {np.ravel(residual)[i]:.3e} "
+                              f"exceeds {_STRUCTURE_TOL} x {np.ravel(size)[i]:.3e}")
+
+
+def _stored(t: np.ndarray, p: np.ndarray, q: np.ndarray) -> GaugePotentialMatrix:
     for vector in (t, p, q):
         vector.setflags(write=False)
     return GaugePotentialMatrix(t, p, q)
@@ -82,25 +147,32 @@ def _generator(t: np.ndarray, p: np.ndarray, q: np.ndarray, lam: float) -> Gauge
 
 def full_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions between all M states."""
-    _, dz, z = _zero_mode_factors(spec, lam)  # guards the spec first
-    m = np.arange(len(z))
-    n_walls = spec.L - spec.x0
-    log_r = math.log1p(-abs(lam)) - math.log1p(abs(lam))
-    # t[m] = scale (-r)^m (1 - r^(N-2m)) / (1 - r^N) for even N, accurate as lambda -> 0
-    ratio = (1.0 - 2.0 * m / n_walls if lam == 0.0
-             else np.expm1((n_walls - 2 * m) * log_r) / math.expm1(n_walls * log_r))
-    scale = 2.0 * zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
-    gen = _generator(scale * np.power(-math.exp(log_r), m) * ratio, dz, z, lam)
-    # checked by K z = dz, the sublattice form of A|z> = i|dz>
-    action = np.convolve(gen._kernel(), z, "valid") + 0.5 * (dz * np.dot(z, z) - z * np.dot(dz, z))
-    residual, size = float(np.max(np.abs(action - dz))), float(np.max(np.abs(dz)))
-    if residual > _STRUCTURE_TOL * size:
-        raise ArithmeticError(f"zero-mode action residual |K z - dz| = {residual:.3e} exceeds "
-                              f"{_STRUCTURE_TOL} x {size:.3e}")
-    return gen
+    t, p, q = _vectors(spec, lam, "full")
+    _check_action(np.convolve(_kernel(t), q, "valid")
+                  + 0.5 * (p * np.dot(q, q) - q * np.dot(p, q)), p)
+    return _stored(t, p, q)
 
 
 def targeted_cd(spec: LatticeSpec, lam: float) -> GaugePotentialMatrix:
     """Rate-free CD generator countering transitions out of the in-gap state (rank <= 2)."""
-    _, dz, z = _zero_mode_factors(spec, lam)
-    return _generator(np.zeros_like(z), 2.0 * dz, z, lam)
+    return _stored(*_vectors(spec, lam, "targeted"))
+
+
+def full_and_targeted_cd(spec: LatticeSpec, lam: float) -> tuple[GaugePotentialMatrix, ...]:
+    """The full and the targeted generator at one lambda from a single zero-mode evaluation."""
+    full = full_cd(spec, lam)
+    return full, _stored(*_targeted(full.p, full.q))
+
+
+def generator_blocks(spec: LatticeSpec, lam: np.ndarray, mode: str) -> np.ndarray:
+    """K of the full or targeted generator at each entry of the 1-D array ``lam``.
+
+    ``spec`` is the chain built on the same array. Shape (len(lam), n, n);
+    each block is bit-identical to ``.block`` of the single-lambda call, and
+    every check of ``full_cd`` and ``targeted_cd`` runs on every row.
+    """
+    t, p, q = _vectors(spec, lam, mode)
+    block = _block(t, p, q)
+    if mode == "full":  # the blocks are built anyway, so K q comes from them
+        _check_action(np.matmul(block, q[..., None])[..., 0], p)
+    return block

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cd import full_cd, targeted_cd
+from .cd import full_and_targeted_cd, full_cd, targeted_cd
 from .dynamics import Protocol, convergence_sweep, default_dt, propagate
 from .errors import (
     ConvergenceError,
@@ -141,8 +141,9 @@ def cmd_norm(args) -> int:
     grid = _parse_grid(args.grid)
     rows = []
     for lam in map(float, grid):
-        spec = build(lam)  # each norm is read from the generator's vectors: no matrix is built
-        rows.append((lam, full_cd(spec, lam).frobenius, targeted_cd(spec, lam).frobenius))
+        # both norms are read from the generators' vectors, which share one zero mode
+        full, targeted = full_and_targeted_cd(build(lam), lam)
+        rows.append((lam, full.frobenius, targeted.frobenius))
     write_csv(args.out or "norm.csv", "norm",
               {"sites": args.sites, "grid": args.grid},
               ["lambda", "frobenius_full", "frobenius_targeted"], rows)

@@ -39,7 +39,7 @@ from .errors import (
     SingularityError,
     UnsupportedPathError,
 )
-from .lattice import LatticeSpec, build_hamiltonian
+from .lattice import LatticeSpec, _col, _each, _first_false, build_hamiltonian
 
 _UNIT_TOL = 1e-9            # |alpha| distance from the unit circle
 _IMAG_AXIS_TOL = 1e-12      # relative size of Re(alpha) for the in-gap family
@@ -237,21 +237,24 @@ def d_norm(record: EigenStateRecord, dpsi_tilde: np.ndarray) -> float:
     return float(-(n**3) * overlap.real)
 
 
-def _require_zero_mode(spec: LatticeSpec, lam: float) -> None:
+def _require_zero_mode(spec: LatticeSpec, lam) -> None:
     """The one guard of every zero-mode entry point.
 
     ``spec`` must be the chain at ``lam`` (to 1e-10), have an odd site
     count, and keep every bond (|lam| < 1). lambda = 0 is a regular point:
-    the finite chain's gap is still open there. The first comparison is
-    written so that NaN and +-inf fail it.
+    the finite chain's gap is still open there. The comparisons are written
+    so that NaN and +-inf fail them. ``lam`` may be an array of couplings,
+    with ``spec`` built on the same array; the error names the first that
+    fails.
     """
-    if not abs(spec.lam - lam) <= 1e-10:
+    if _first_false(abs(spec.lam - lam) <= 1e-10) is not None:
         raise InvalidSpecError(f"spec encodes lambda={spec.lam}, caller passed {lam}")
     if spec.n_sites % 2 == 0:
         raise UnsupportedPathError(f"a chain of {spec.n_sites} sites has no zero mode: "
                                    "the closed forms need an odd site count")
-    if abs(lam) >= 1:
-        raise SingularityError(f"zero mode undefined at lambda={lam}: a bond has vanished")
+    if (i := _first_false(abs(lam) < 1)) is not None:
+        raise SingularityError(f"zero mode undefined at lambda={np.ravel(lam)[i]}: "
+                               "a bond has vanished")
 
 
 def zero_mode_sublattice_sign(spec: LatticeSpec) -> float:
@@ -259,25 +262,41 @@ def zero_mode_sublattice_sign(spec: LatticeSpec) -> float:
     return 1.0 if (spec.x0 + 1) % 2 == 0 else -1.0
 
 
-def zero_mode_internal_alpha(spec: LatticeSpec, lam: float) -> complex:
+def zero_mode_internal_alpha(spec: LatticeSpec, lam):
     """Mode parameter of the populated-sublattice recursion psi(x+2)/psi(x) = alpha^2.
 
     This is the smooth assembly branch; its modulus exceeds 1 when the state
     is bound to the far wall. The conventional representative with modulus
-    below 1 is ``1j * sqrt((1-|lam|)/(1+|lam|))``. It needs |lam| < 1.
+    below 1 is ``1j * sqrt((1-|lam|)/(1+|lam|))``. It needs |lam| < 1 and
+    broadcasts over an array of couplings.
     """
     sigma = zero_mode_sublattice_sign(spec)
-    return 1j * math.sqrt((1 - sigma * lam) / (1 + sigma * lam))
+    return 1j * np.sqrt((1 - sigma * lam) / (1 + sigma * lam))
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_mode_geometry(L: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of the zero-mode sublattice (as floats) and their exact phases i^x, read-only.
+
+    The walls share a parity, so the first site x0+1 and every other one
+    after it (rows ``::2``) form the sublattice. This is all the zero mode
+    reads: its callers never build the band tables of ``_geometry``.
+    """
+    xp = np.arange(x0 + 1, L, 2)
+    phases = np.array([1, 1j, -1, -1j])[xp % 4]
+    xp = xp.astype(float)  # exact; offsets from it are then float without a cast per call
+    xp.setflags(write=False)
+    phases.setflags(write=False)
+    return xp, phases
 
 
 @functools.lru_cache(maxsize=16)
 def _geometry(L: int, x0: int) -> SimpleNamespace:
-    """lambda-independent arrays of a commensurate chain, shared read-only between calls.
+    """lambda-independent band tables of a commensurate chain, shared read-only between calls.
 
     Per-quasimomentum arrays (k < pi/2) are columns, so they broadcast
-    against the per-site rows. The walls share a parity, so the first site
-    x0+1 and every other one after it (rows ``::2``) form the zero-mode
-    sublattice, where the band states carry their lambda-dependent phase.
+    against the per-site rows; ``cos_theta`` covers the zero-mode sublattice
+    only, where the band states carry their lambda-dependent phase.
     """
     xs = np.arange(x0 + 1, L)
     span = L - x0
@@ -290,44 +309,45 @@ def _geometry(L: int, x0: int) -> SimpleNamespace:
         cos2_k=np.cos(ks) ** 2,
         sin2_k=np.sin(ks) ** 2,
         sin_theta=np.sin(theta),
-        cos_theta=np.cos(theta[:, ::2]),             # zero-mode sublattice only
-        xp=xs[::2],
-        zero_phases=np.array([1, 1j, -1, -1j])[xs[::2] % 4],  # exact i^x
+        cos_theta=np.cos(theta[:, ::2]),
     )
     for value in vars(geometry).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+        value.setflags(write=False)
     return geometry
 
 
-def _zero_mode(spec: LatticeSpec, lam: float):
+def _zero_mode(spec: LatticeSpec, lam):
     """Normalised zero mode, |alpha|, x_ref and profile norm.
 
     Amplitudes alpha^x on the zero-mode sublattice, shifted to the end x_ref
     the state is bound to so large chains do not overflow. Every caller of
-    the zero mode comes through ``_require_zero_mode`` here.
+    the zero mode comes through ``_require_zero_mode`` here. An array of
+    couplings gives one row (or entry) per coupling, each bit-identical to
+    its single-lambda call.
     """
     _require_zero_mode(spec, lam)
-    geo = _geometry(spec.L, spec.x0)
+    xp, phases = _zero_mode_geometry(spec.L, spec.x0)
     a_int = abs(zero_mode_internal_alpha(spec, lam))
-    x_ref = geo.xp[0] if a_int <= 1.0 else geo.xp[-1]
-    psi = np.zeros(spec.n_sites, dtype=complex)
-    psi[::2] = np.exp((geo.xp - x_ref) * math.log(a_int)) * geo.zero_phases
-    nrm = float(np.linalg.norm(psi))
-    psi /= nrm
+    x_ref = spec.x0 + 1 + (spec.n_sites - 1) * (a_int > 1.0)  # the last site once |alpha| > 1
+    psi = np.zeros(getattr(lam, "shape", ()) + (spec.n_sites,), dtype=complex)
+    psi[..., ::2] = np.exp((xp - _col(x_ref)) * _col(_each(math.log, a_int))) * phases
+    part = psi.imag if phases[0].imag else psi.real  # i^x is real or imaginary on every site
+    nrm = np.sqrt(np.vecdot(part, part))
+    psi /= _col(nrm)
     return psi, a_int, x_ref, nrm
 
 
-def _zero_mode_factors(spec: LatticeSpec, lam: float):
+def _zero_mode_factors(spec: LatticeSpec, lam):
     """Zero mode psi, then its projected lambda-derivative p and itself q on its sublattice,
     real with the first site's phase i^(x0+1) divided out: p = q (x - <x>) dlog alpha,
-    x measured from the end x_ref the state is bound to (not from 0, to keep <x> exact)."""
+    x measured from the end x_ref the state is bound to (not from 0, to keep <x> exact).
+    Broadcasts like ``_zero_mode``."""
     psi, _, x_ref, _ = _zero_mode(spec, lam)
-    geo = _geometry(spec.L, spec.x0)
-    q = (psi[::2] * geo.zero_phases[0].conjugate()).real  # exact: the phase is +-1 or +-i
-    offsets = geo.xp - x_ref
+    xp, phases = _zero_mode_geometry(spec.L, spec.x0)
+    q = (psi[..., ::2] * phases[0].conjugate()).real  # exact: the phase is +-1 or +-i
+    offsets = xp - _col(x_ref)
     dlog_alpha = -zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
-    return psi, q * ((offsets - np.dot(offsets, q * q)) * dlog_alpha), q
+    return psi, q * ((offsets - _col(np.vecdot(offsets, q * q))) * _col(dlog_alpha)), q
 
 
 def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
@@ -340,6 +360,7 @@ def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
     x_ref the state is bound to; it flushes to 0 once |x_ref log a| >= 700.
     """
     psi, a_int, x_ref, nrm = _zero_mode(spec, lam)
+    a_int, x_ref, nrm = float(a_int), int(x_ref), float(nrm)
     log_a = math.log(a_int)
     with np.errstate(over="ignore", under="ignore"):
         norm_factor = math.exp(-x_ref * log_a) / nrm if abs(x_ref * log_a) < 700 else 0.0
@@ -446,7 +467,7 @@ def basis_and_derivatives(spec: LatticeSpec, lam: float):
     psi, p, _ = _zero_mode_factors(spec, lam)
     geo = _geometry(spec.L, spec.x0)
     dpsi = np.zeros_like(psi)
-    dpsi[::2] = p * geo.zero_phases[0]
+    dpsi[::2] = p * _zero_mode_geometry(spec.L, spec.x0)[1][0]
     energy, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
     scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
     p0 = geo.sin_theta * scale

@@ -294,11 +294,22 @@ def test_generators_match_dense_oracle_on_both_wall_parities(x0, m_sites, lam):
 
 
 def test_geometry_cache_is_bounded():
-    from cdlattice.states import _geometry
+    from cdlattice.cd import _toeplitz_geometry
+    from cdlattice.states import _geometry, _zero_mode_geometry
 
+    _geometry.cache_clear()
     bound = _geometry.cache_info().maxsize
-    for m_sites in range(11, 11 + 2 * (bound + 2), 2):
-        cdl.full_cd(cdl.ssh_spec(m_sites, -1, 0.5), 0.5)
+    sizes = range(11, 11 + 2 * (bound + 2), 2)
+    for m_sites in sizes:
+        spec = cdl.ssh_spec(m_sites, -1, 0.5)
+        cdl.full_cd(spec, 0.5)
+        cdl.targeted_cd(spec, 0.5)
+        cdl.in_gap_record(spec, 0.5)
+    assert _geometry.cache_info().currsize == 0  # the zero mode never builds the band tables
+    for cache in (_zero_mode_geometry, _toeplitz_geometry):
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == bound
+    for m_sites in sizes:
+        cdl.basis_and_derivatives(cdl.ssh_spec(m_sites, -1, 0.5), 0.5)
     assert _geometry.cache_info().currsize == bound
 
 
@@ -380,3 +391,37 @@ def test_cd_reads_no_band_state_helper():
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("states"):
             from_states += names
     assert from_states and all("zero_mode" in name for name in from_states)
+
+
+@pytest.mark.parametrize("mode", ["full", "targeted"])
+@pytest.mark.parametrize("m_sites,x0", [(11, -1), (21, 0), (101, 1)])
+def test_generator_blocks_match_single_lambda_calls(mode, m_sites, x0):
+    from cdlattice.cd import generator_blocks
+    from cdlattice.lattice import LatticeSpec
+
+    lams = np.array(CLOSED_FORM_LAMBDAS + [0.999, -0.999])
+    L = m_sites + x0 + 1
+    blocks = generator_blocks(LatticeSpec(x0, L, lams), lams, mode)
+    make = cdl.full_cd if mode == "full" else cdl.targeted_cd
+    for lam, block in zip(lams.tolist(), blocks):
+        np.testing.assert_array_equal(block, make(cdl.ssh_spec(L, x0, lam), lam).block)
+
+
+def test_generator_blocks_name_the_first_vanished_bond():
+    from cdlattice.cd import generator_blocks
+    from cdlattice.lattice import LatticeSpec
+
+    lams = np.array([0.5, 0.99, 1.0, -1.5])
+    with pytest.raises(SingularityError, match=r"lambda=1\.0:"):
+        generator_blocks(LatticeSpec(-1, 11, lams), lams, "targeted")
+
+
+@pytest.mark.parametrize("lam", CLOSED_FORM_LAMBDAS)
+def test_full_and_targeted_share_one_zero_mode(lam):
+    from cdlattice.cd import full_and_targeted_cd
+
+    spec = cdl.ssh_spec(102, 0, lam)  # 101 sites
+    for joint, alone in zip(full_and_targeted_cd(spec, lam),
+                            (cdl.full_cd(spec, lam), cdl.targeted_cd(spec, lam))):
+        for field in "tpq":
+            np.testing.assert_array_equal(getattr(joint, field), getattr(alone, field))

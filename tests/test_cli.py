@@ -166,10 +166,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_structure_check_failure_exits_three(tmp_path, monkeypatch):
-    def failing(spec, lam):
+    def failing(spec, lam, mode):
         raise ArithmeticError("anti-Hermitian residual too large")
 
-    monkeypatch.setattr("cdlattice.dynamics.full_cd", failing)
+    monkeypatch.setattr("cdlattice.dynamics.generator_blocks", failing)
     code = main(["transfer", "--sites", "11", "--cd", "full", "--dt", "1e-2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3

@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cdlattice as cdl
-from cdlattice.cd import GaugePotentialMatrix
 from cdlattice.dynamics import Protocol, convergence_sweep, default_dt, fidelity, propagate
 from cdlattice.errors import InvalidSpecError, SingularityError
 from conftest import builder, dense_midpoint_propagate
@@ -118,11 +119,11 @@ def test_trace_energy_matches_dense_expectation(mode):
 
 
 def test_non_finite_generator_aborts(monkeypatch):
-    def poisoned(spec, lam):
+    def poisoned(spec, lam, mode):
         half = (spec.n_sites + 1) // 2
-        return GaugePotentialMatrix(*np.full((3, half), np.nan))  # t, p and q
+        return np.full((len(lam), half, half), np.nan)  # one block K per midpoint
 
-    monkeypatch.setattr("cdlattice.dynamics.targeted_cd", poisoned)
+    monkeypatch.setattr("cdlattice.dynamics.generator_blocks", poisoned)
     with pytest.raises(SingularityError, match="non-finite"):
         propagate(builder(11), Protocol(0.9, -0.9, 1.0, cd_mode="targeted"), 1e-2)
 
@@ -131,6 +132,76 @@ def test_drive_through_vanished_bond_aborts():
     protocol = Protocol(0.9, 1.1, 1.0, cd_mode="targeted")
     with pytest.raises(SingularityError):
         propagate(builder(11), protocol, 1e-3)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [None, 7])
+def test_drive_through_vanished_bond_names_the_first_bad_midpoint(monkeypatch, steps_per_chunk):
+    if steps_per_chunk:  # midpoint 500 then sits inside the chunk from 497
+        monkeypatch.setattr("cdlattice.dynamics._CHUNK_BYTES", steps_per_chunk * 16 * 11)
+    protocol = Protocol(0.9, 1.1, 1.0, cd_mode="targeted")
+    # midpoint 499 is at lambda 0.9999, midpoint 500 at 1.0001
+    with pytest.raises(SingularityError, match=r"t=0\.5005 \(lambda=1\.0001\)"):
+        propagate(builder(11), protocol, 1e-3)
+
+
+@pytest.mark.parametrize("x0", [-1, 0])
+@pytest.mark.parametrize("mode,d", [("none", None), ("targeted", None), ("full", None),
+                                    ("full", 0), ("full", 3)])
+def test_final_state_does_not_depend_on_the_chunk(monkeypatch, x0, mode, d):
+    import cdlattice.dynamics as dynamics
+
+    protocol = Protocol(0.9, -0.9, 1.0, cd_mode=mode, band_limit=d)
+    make = builder(11, x0)
+    default = propagate(make, protocol, 0.02).final_state  # 50 steps: one default chunk
+    step_bytes = 16 * 11 if mode == "none" else 8 * (6 * 6 + 11)
+    chunks = []
+    build = dynamics._step_operators
+
+    def counted(chain, lams, *rest):
+        chunks.append(len(lams))
+        return build(chain, lams, *rest)
+
+    monkeypatch.setattr(dynamics, "_step_operators", counted)
+    for steps_per_chunk in (1, 2, 7):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", steps_per_chunk * step_bytes)
+        chunks.clear()
+        psi = propagate(make, protocol, 0.02).final_state
+        assert chunks[0] == steps_per_chunk and sum(chunks) == 50
+        np.testing.assert_array_equal(psi, default)
+
+
+@pytest.mark.parametrize("mode,d", [("none", None), ("targeted", None), ("full", None),
+                                    ("full", 3)])
+def test_step_bound_equals_dense_column_sum(mode, d):
+    from cdlattice.dynamics import _step_operators
+    from cdlattice.lattice import LatticeSpec
+
+    protocol = Protocol(-0.95, 0.8, 0.7, cd_mode=mode, band_limit=d)
+    lams = np.linspace(-0.95, 0.8, 9)
+    dt = 0.013
+    *_, thetas = _step_operators(LatticeSpec(0, 22, -0.95), lams, protocol, dt)
+    for lam, theta in zip(lams.tolist(), thetas):
+        spec = cdl.ssh_spec(22, 0, lam)
+        h = cdl.build_hamiltonian(spec)
+        if mode == "none":
+            assert theta == 2.0 * np.abs(spec.t).max() * dt
+            continue
+        gen = (cdl.full_cd if mode == "full" else cdl.targeted_cd)(spec, lam).matrix
+        h = h + protocol.rate * (gen if d is None else cdl.band_limit(gen, d))
+        assert theta == np.abs(h).sum(axis=0).max() * dt  # bit for bit: the substeps match
+
+
+@pytest.mark.parametrize("m_sites,dt", [(11, 1e-4), (101, 1e-3)])
+def test_propagate_peak_memory_is_bounded(m_sites, dt):
+    protocol = Protocol(0.9, -0.9, 1.0, cd_mode="full")
+    propagate(builder(m_sites), protocol, 0.1)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        propagate(builder(m_sites), protocol, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_invalid_step_rejected():

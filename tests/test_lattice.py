@@ -73,3 +73,13 @@ def test_hamiltonian_bonds_follow_absolute_site_labels(x0, m, lam):
     for i in range(m - 1):
         bond = 1.0 - lam * (-1) ** (x0 + 1 + i)  # couples sites x0+1+i and x0+2+i
         assert h[i, i + 1] == bond and h[i + 1, i] == bond
+
+
+def test_bonds_broadcast_over_an_array_of_couplings():
+    from cdlattice.lattice import LatticeSpec
+
+    lams = np.array([0.9, 0.0, -0.37])
+    rows = LatticeSpec(0, 12, lams).t
+    assert rows.shape == (3, 10)
+    for lam, row in zip(lams.tolist(), rows):
+        np.testing.assert_array_equal(row, cdl.ssh_spec(12, 0, lam).t)
