@@ -6,15 +6,17 @@ sublattice ``::2``. So A = i K with K real and antisymmetric on its n sites,
 
     K_ab = -1/2 sign(a - b) t[|a - b|] + 1/2 (p_a q_b - q_a p_b),
 
-where q and p are z and its projected derivative dz with the first site's phase
-i^(x0+1) divided out, and the wall images of the band pairs sum to
+where q is the zero mode's real profile on that sublattice (z = i^(x0+1) q) and
+p its projected lambda-derivative, and the wall images of the band pairs sum to
 
     t[m] = sigma (2 / (1 - lambda^2)) [(-r)^m - (-r)^(N-m)] / (1 - r^N),
 
-r = (1 - |lambda|)/(1 + |lambda|), N = L - x0 and sigma the zero-mode sublattice
-sign; at lambda = 0 it is 2 sigma (-1)^m (1 - 2m/N). The full CD term thus decays
-by r every two sites. The targeted generator has t = 0 and p doubled. No band
-state of ``states`` is read here, so they stay an independent check.
+log r = -|log alpha^2| = log((1 - |lambda|)/(1 + |lambda|)), N = L - x0 and sigma
+the zero-mode sublattice sign; at lambda = 0 it is 2 sigma (-1)^m (1 - 2m/N). q, p
+and log alpha^2 come from one evaluation, ``states._zero_mode``. The full CD term
+thus decays by r every two sites. The targeted generator has t = 0 and p
+doubled. No band state of ``states`` is read here, so they stay an independent
+check.
 
 Each closed form broadcasts over an array of lambda, one row per entry, bit
 for bit as the single-lambda call: ``generator_blocks`` builds the blocks K of
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .lattice import LatticeSpec, _col, _each, _first_false
-from .states import _zero_mode_factors, zero_mode_sublattice_sign
+from .lattice import LatticeSpec, _col, _first_false
+from .states import _zero_mode, zero_mode_sublattice_sign
 
 _STRUCTURE_TOL = 1e-10
 
@@ -101,30 +103,30 @@ def _toeplitz_geometry(n: int, n_walls: int) -> tuple[np.ndarray, np.ndarray, np
     return parts
 
 
-def _toeplitz(spec: LatticeSpec, lam) -> np.ndarray:
-    """t of the module docstring, one row per entry of an array ``lam``."""
+def _toeplitz(spec: LatticeSpec, lam, log_a2) -> np.ndarray:
+    """t of the module docstring from log alpha^2, one row per entry of an array ``lam``."""
     n_walls = spec.L - spec.x0
     m, span, limit = _toeplitz_geometry((spec.n_sites + 1) // 2, n_walls)
-    log_r = _each(math.log1p, -abs(lam)) - _each(math.log1p, abs(lam))
+    log_r = -abs(log_a2)
     # t[m] = scale (-r)^m (1 - r^(N-2m)) / (1 - r^N) for even N, accurate as lambda -> 0
     ratio = np.empty(getattr(lam, "shape", ()) + m.shape)
     ratio[...] = limit
-    np.divide(np.expm1(span * _col(log_r)), _col(_each(math.expm1, n_walls * log_r)),
+    np.divide(np.expm1(span * _col(log_r)), _col(np.expm1(n_walls * log_r)),
               out=ratio, where=_col(lam != 0.0))
     scale = 2.0 * zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
-    return _col(scale) * np.power(-_col(_each(math.exp, log_r)), m) * ratio
+    return _col(scale) * np.power(-_col(np.exp(log_r)), m) * ratio
 
 
-def _targeted(dz: np.ndarray, z: np.ndarray) -> tuple:
+def _targeted(p: np.ndarray, q: np.ndarray) -> tuple:
     """(t, p, q) of the targeted generator: no Toeplitz part and p doubled."""
-    return np.zeros_like(z), 2.0 * dz, z
+    return np.zeros_like(q), 2.0 * p, q
 
 
 def _vectors(spec: LatticeSpec, lam, mode: str) -> tuple:
     """(t, p, q) of the full or targeted generator, one row per entry of an array ``lam``,
     each checked to be finite."""
-    _, dz, z = _zero_mode_factors(spec, lam)  # guards the spec first
-    t, p, q = (_toeplitz(spec, lam), dz, z) if mode == "full" else _targeted(dz, z)
+    q, p, _, log_a2, _ = _zero_mode(spec, lam)  # guards the spec first
+    t, p, q = (_toeplitz(spec, lam, log_a2), p, q) if mode == "full" else _targeted(p, q)
     # a non-finite entry leaves its dot product non-finite, which fails |x| < inf
     if (i := _first_false(abs(np.vecdot(t, t) + np.vecdot(p, q)) < math.inf)) is not None:
         raise SingularityError(f"non-finite generator entries at lambda={np.ravel(lam)[i]}")

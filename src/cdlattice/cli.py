@@ -195,7 +195,7 @@ def cmd_transfer(args) -> int:
 def cmd_cd_spectrum(args) -> int:
     grid = _parse_grid(args.grid)
     L = args.sites + args.x0 + 1
-    rate = (args.lambdaf - args.lambda0) / args.time
+    rate = Protocol(args.lambda0, args.lambdaf, args.time).rate
     mode = "full-cd" if args.mode == "full" else "targeted-cd"
     table = spectrum_sweep(L, args.x0, grid, mode=mode, drive_rate=rate)
     rows = []
@@ -215,7 +215,7 @@ def cmd_cd_spectrum(args) -> int:
 
 def cmd_gap_scaling(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    rate = (args.lambdaf - args.lambda0) / args.time
+    rate = Protocol(args.lambda0, args.lambdaf, args.time).rate
     rows = []
     for m_sites in sizes:
         L = m_sites + args.x0 + 1

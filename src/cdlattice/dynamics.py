@@ -43,6 +43,8 @@ _MAX_STEP_THETA = 1e3
 # holds about twice that at once. A small chunk stays in cache and leaves the
 # peak memory flat: 8 MiB chunks added 23 MB of RSS at 101 sites.
 _CHUNK_BYTES = 256 * 1024
+_FID_TOL = 1e-10
+_MAX_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -283,28 +285,24 @@ def _trace_point(spec_builder, protocol, t_now, psi) -> dict:
     }
 
 
-def convergence_sweep(
-    spec_builder: SpecBuilder,
-    protocol: Protocol,
-    dt0: float,
-    fid_tol: float = 1e-10,
-    max_halvings: int = 12,
-) -> list[tuple[float, float]]:
-    """Halve the step until successive fidelities agree to ``fid_tol``.
+def convergence_sweep(spec_builder: SpecBuilder, protocol: Protocol,
+                      dt0: float) -> list[tuple[float, float]]:
+    """Halve the step until successive fidelities agree to ``_FID_TOL``, at most
+    ``_MAX_HALVINGS`` times.
 
     Returns the (dt, fidelity) trace; the last dt is the certified step.
     """
     trace: list[tuple[float, float]] = []
     dt = dt0
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         result = propagate(spec_builder, protocol, dt)
         dt_eff = protocol.total_time / result.steps
         trace.append((dt_eff, result.fidelity))
-        if len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < fid_tol:
+        if len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < _FID_TOL:
             return trace
         dt = dt_eff / 2.0
     raise ConvergenceError(
-        f"fidelity did not settle to {fid_tol} within {max_halvings} halvings",
+        f"fidelity did not settle to {_FID_TOL} within {_MAX_HALVINGS} halvings",
         trace=trace,
     )
 

@@ -5,8 +5,9 @@ function vanishes; the physical sites are x = x0+1 .. L-1. The chain is the
 three numbers (L, x0, lambda): its bonds 1 - lambda*(-1)^x, the literal
 coefficient of the creation-at-x / annihilation-at-(x+1) term, and its zero
 on-site energies are built on read. lambda may be an array of couplings, one
-row of bonds each; the helpers below let the closed forms downstream
-broadcast the same way.
+row of bonds each. The closed forms downstream broadcast the same way, with
+numpy ufuncs alone: these round one value as each entry of an array, so a
+ramp's row is bit-identical to its single-lambda call.
 """
 
 from __future__ import annotations
@@ -22,16 +23,6 @@ def _col(x):
     """An array of per-lambda values with a trailing axis, so it broadcasts against a
     per-site row; a single value already does."""
     return x[..., None] if getattr(x, "ndim", 0) else x
-
-
-def _each(fn, x):
-    """``math`` function ``fn`` of a value, or of each entry of a 1-D array.
-
-    numpy's vectorised exp and log round differently from ``math`` in the last
-    bit, so a ramp's array of couplings goes through ``math`` one entry at a
-    time and stays bit-identical to the single-lambda call.
-    """
-    return np.array([fn(v) for v in x.tolist()]) if getattr(x, "ndim", 0) else fn(x)
 
 
 def _first_false(ok):

@@ -39,7 +39,7 @@ from .errors import (
     SingularityError,
     UnsupportedPathError,
 )
-from .lattice import LatticeSpec, _col, _each, _first_false, build_hamiltonian
+from .lattice import LatticeSpec, _col, _first_false, build_hamiltonian
 
 _UNIT_TOL = 1e-9            # |alpha| distance from the unit circle
 _IMAG_AXIS_TOL = 1e-12      # relative size of Re(alpha) for the in-gap family
@@ -262,32 +262,31 @@ def zero_mode_sublattice_sign(spec: LatticeSpec) -> float:
     return 1.0 if (spec.x0 + 1) % 2 == 0 else -1.0
 
 
-def zero_mode_internal_alpha(spec: LatticeSpec, lam):
-    """Mode parameter of the populated-sublattice recursion psi(x+2)/psi(x) = alpha^2.
+def _zero_mode_log_decay(spec: LatticeSpec, lam):
+    """log alpha^2 = log((1 - sigma lam)/(1 + sigma lam)) = -2 atanh(sigma lam) of the zero mode.
 
-    This is the smooth assembly branch; its modulus exceeds 1 when the state
-    is bound to the far wall. The conventional representative with modulus
-    below 1 is ``1j * sqrt((1-|lam|)/(1+|lam|))``. It needs |lam| < 1 and
-    broadcasts over an array of couplings.
+    alpha^2 = psi(x+2)/psi(x) on the populated sublattice; it exceeds 1 in
+    modulus when the state is bound to the far wall. One ufunc, accurate to
+    the last bit as lambda -> 0; it needs |lam| < 1 and broadcasts over an
+    array of couplings.
     """
-    sigma = zero_mode_sublattice_sign(spec)
-    return 1j * np.sqrt((1 - sigma * lam) / (1 + sigma * lam))
+    return -2.0 * np.arctanh(zero_mode_sublattice_sign(spec) * lam)
 
 
 @functools.lru_cache(maxsize=16)
-def _zero_mode_geometry(L: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sites of the zero-mode sublattice (as floats) and their exact phases i^x, read-only.
+def _zero_mode_geometry(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index j = 0 .. n-1 of the zero-mode sublattice (as floats) and its signs (-1)^j, read-only.
 
     The walls share a parity, so the first site x0+1 and every other one
-    after it (rows ``::2``) form the sublattice. This is all the zero mode
-    reads: its callers never build the band tables of ``_geometry``.
+    after it (rows ``::2``) form the sublattice: site x0+1+2j has the exact
+    phase i^(x0+1) (-1)^j. This is all the zero mode reads: its callers never
+    build the band tables of ``_geometry``.
     """
-    xp = np.arange(x0 + 1, L, 2)
-    phases = np.array([1, 1j, -1, -1j])[xp % 4]
-    xp = xp.astype(float)  # exact; offsets from it are then float without a cast per call
-    xp.setflags(write=False)
-    phases.setflags(write=False)
-    return xp, phases
+    index = np.arange(n, dtype=float)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    index.setflags(write=False)
+    signs.setflags(write=False)
+    return index, signs
 
 
 @functools.lru_cache(maxsize=16)
@@ -317,37 +316,36 @@ def _geometry(L: int, x0: int) -> SimpleNamespace:
 
 
 def _zero_mode(spec: LatticeSpec, lam):
-    """Normalised zero mode, |alpha|, x_ref and profile norm.
+    """The zero mode as its real sublattice profile: (q, p, x_ref, log alpha^2, norm).
 
-    Amplitudes alpha^x on the zero-mode sublattice, shifted to the end x_ref
-    the state is bound to so large chains do not overflow. Every caller of
-    the zero mode comes through ``_require_zero_mode`` here. An array of
-    couplings gives one row (or entry) per coupling, each bit-identical to
-    its single-lambda call.
+    The normalised zero mode is i^(x0+1) q on rows ``::2``, q_j = (-1)^j
+    alpha^(2(j - j_ref)) / norm at site x0+1+2j: shifted to the end
+    x_ref = x0+1+2 j_ref the state is bound to, so large chains do not
+    overflow, and normalised over its n entries. p = q (j - <j>) dlog alpha^2
+    is its projected lambda-derivative, j counted from j_ref to keep <j> exact.
+    Every caller of the zero mode comes through ``_require_zero_mode`` here.
+    An array of couplings gives one row (or entry) per coupling, each
+    bit-identical to its single-lambda call.
     """
     _require_zero_mode(spec, lam)
-    xp, phases = _zero_mode_geometry(spec.L, spec.x0)
-    a_int = abs(zero_mode_internal_alpha(spec, lam))
-    x_ref = spec.x0 + 1 + (spec.n_sites - 1) * (a_int > 1.0)  # the last site once |alpha| > 1
-    psi = np.zeros(getattr(lam, "shape", ()) + (spec.n_sites,), dtype=complex)
-    psi[..., ::2] = np.exp((xp - _col(x_ref)) * _col(_each(math.log, a_int))) * phases
-    part = psi.imag if phases[0].imag else psi.real  # i^x is real or imaginary on every site
-    nrm = np.sqrt(np.vecdot(part, part))
-    psi /= _col(nrm)
-    return psi, a_int, x_ref, nrm
+    n = (spec.n_sites + 1) // 2
+    index, signs = _zero_mode_geometry(n)
+    log_a2 = _zero_mode_log_decay(spec, lam)
+    j_ref = (n - 1) * (log_a2 > 0)  # the last site once |alpha| > 1
+    offsets = index - _col(j_ref)
+    profile = np.exp(offsets * _col(log_a2))
+    nrm = np.sqrt(np.vecdot(profile, profile))
+    q = signs * profile / _col(nrm)
+    dlog_a2 = -2.0 * zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
+    p = q * ((offsets - _col(np.vecdot(offsets, q * q))) * _col(dlog_a2))
+    return q, p, spec.x0 + 1 + 2 * j_ref, log_a2, nrm
 
 
-def _zero_mode_factors(spec: LatticeSpec, lam):
-    """Zero mode psi, then its projected lambda-derivative p and itself q on its sublattice,
-    real with the first site's phase i^(x0+1) divided out: p = q (x - <x>) dlog alpha,
-    x measured from the end x_ref the state is bound to (not from 0, to keep <x> exact).
-    Broadcasts like ``_zero_mode``."""
-    psi, _, x_ref, _ = _zero_mode(spec, lam)
-    xp, phases = _zero_mode_geometry(spec.L, spec.x0)
-    q = (psi[..., ::2] * phases[0].conjugate()).real  # exact: the phase is +-1 or +-i
-    offsets = xp - _col(x_ref)
-    dlog_alpha = -zero_mode_sublattice_sign(spec) / (1.0 - lam * lam)
-    return psi, q * ((offsets - _col(np.vecdot(offsets, q * q))) * _col(dlog_alpha)), q
+def _on_sites(spec: LatticeSpec, v: np.ndarray) -> np.ndarray:
+    """The M-vector i^(x0+1) v on the zero-mode sublattice ``::2``, zero between; exact."""
+    psi = np.zeros(spec.n_sites, dtype=complex)
+    psi[::2] = v * (1, 1j, -1, -1j)[(spec.x0 + 1) % 4]
+    return psi
 
 
 def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
@@ -355,22 +353,19 @@ def in_gap_record(spec: LatticeSpec, lam: float) -> EigenStateRecord:
 
     Assembled from the sublattice-polarized recursion (amplitudes alpha^x on
     one parity, zero on the other), which is the regular limit of the
-    two-branch form at zero energy. By that form's absolute site labels ``norm``
-    is exp(-x_ref log a) / |psi~|, psi~ being the profile shifted to the end
-    x_ref the state is bound to; it flushes to 0 once |x_ref log a| >= 700.
+    two-branch form at zero energy: the coeffs are i^(x0+1) q of ``_zero_mode``.
+    By that form's absolute site labels ``norm`` is exp(-x_ref log a) / |psi~|,
+    a = |alpha| and psi~ being the profile shifted to the end x_ref the state
+    is bound to; it flushes to 0 once |x_ref log a| >= 700.
     """
-    psi, a_int, x_ref, nrm = _zero_mode(spec, lam)
-    a_int, x_ref, nrm = float(a_int), int(x_ref), float(nrm)
-    log_a = math.log(a_int)
-    with np.errstate(over="ignore", under="ignore"):
-        norm_factor = math.exp(-x_ref * log_a) / nrm if abs(x_ref * log_a) < 700 else 0.0
-    a_rep = a_int if a_int <= 1.0 else 1.0 / a_int
+    q, _, x_ref, log_a2, nrm = _zero_mode(spec, lam)
+    x_log_a = int(x_ref) * 0.5 * float(log_a2)
     return EigenStateRecord(
-        alpha=1j * a_rep,
+        alpha=1j * math.exp(-0.5 * abs(float(log_a2))),
         band=0,
         energy=0.0,
-        coeffs=psi,
-        norm=norm_factor,
+        coeffs=_on_sites(spec, q),
+        norm=math.exp(-x_log_a) / float(nrm) if abs(x_log_a) < 700 else 0.0,
         kind="in-gap" if lam != 0 else "bulk",
     )
 
@@ -398,7 +393,7 @@ def edge_alpha(spec: LatticeSpec, lam: float) -> complex:
 
     The in-gap state is not fixed by the wall boundary condition alone; it is
     the unique root of the single-site local Schroedinger residual. The root
-    is cross-checked against the closed form sqrt((1-|lam|)/(1+|lam|)).
+    is cross-checked against the closed form of ``_zero_mode_log_decay``.
     """
     _require_zero_mode(spec, lam)
     if spec.x0 % 2 == 0:
@@ -428,7 +423,7 @@ def edge_alpha(spec: LatticeSpec, lam: float) -> complex:
         if hi - lo < 1e-15:
             break
     a_root = 0.5 * (lo + hi)
-    closed_form = math.sqrt((1 - abs(lam)) / (1 + abs(lam)))
+    closed_form = math.exp(-0.5 * abs(float(_zero_mode_log_decay(spec, lam))))
     if abs(a_root - closed_form) > 1e-10:
         raise ArithmeticError(
             f"bisection root {a_root} disagrees with the closed form {closed_form}"
@@ -464,10 +459,8 @@ def basis_and_derivatives(spec: LatticeSpec, lam: float):
     of the module docstring, with the factors from ``_band_phases``;
     ``branch_norms`` holds |psi~| = sqrt(2(L-x0)) of the two-branch form.
     """
-    psi, p, _ = _zero_mode_factors(spec, lam)
+    q, p, *_ = _zero_mode(spec, lam)
     geo = _geometry(spec.L, spec.x0)
-    dpsi = np.zeros_like(psi)
-    dpsi[::2] = p * _zero_mode_geometry(spec.L, spec.x0)[1][0]
     energy, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
     scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
     p0 = geo.sin_theta * scale
@@ -475,8 +468,8 @@ def basis_and_derivatives(spec: LatticeSpec, lam: float):
     dp0 = np.zeros_like(p0)
     dp0[:, ::2] = cos_shift * (-scale * d_phi)
     energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
-    states = np.concatenate((p0, p0 * geo.sign_flip, psi[None, :]))
-    derivatives = np.concatenate((dp0, dp0 * geo.sign_flip, dpsi[None, :]))
+    states = np.concatenate((p0, p0 * geo.sign_flip, _on_sites(spec, q)[None, :]))
+    derivatives = np.concatenate((dp0, dp0 * geo.sign_flip, _on_sites(spec, p)[None, :]))
     return energies, states, derivatives, np.full(len(energy), math.sqrt(2 * (spec.L - spec.x0)))
 
 

@@ -425,3 +425,16 @@ def test_full_and_targeted_share_one_zero_mode(lam):
                             (cdl.full_cd(spec, lam), cdl.targeted_cd(spec, lam))):
         for field in "tpq":
             np.testing.assert_array_equal(getattr(joint, field), getattr(alone, field))
+
+
+@pytest.mark.parametrize("lam", [0.3, -0.97])
+@pytest.mark.parametrize("x0", [-2, -1, 0, 1])
+def test_every_consumer_reads_one_zero_mode(x0, lam):
+    # the record, the snapshot and the generators share one evaluation of the profile q
+    spec = cdl.ssh_spec(21 + x0 + 1, x0, lam)
+    coeffs = cdl.in_gap_record(spec, lam).coeffs
+    phase = (1, 1j, -1, -1j)[(x0 + 1) % 4]
+    assert np.array_equal(coeffs[::2] / phase, cdl.full_cd(spec, lam).q)
+    assert np.all(coeffs[1::2] == 0.0)
+    _, states, _, _ = cdl.basis_and_derivatives(spec, lam)
+    assert np.array_equal(states[-1], coeffs)

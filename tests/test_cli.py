@@ -134,6 +134,14 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--sites", "11", "--grid=-1:1:3",
                  "--out", str(tmp_path / "s.csv")]) == 0
     assert capsys.readouterr().err == ""
+    # every command takes the ramp rate from Protocol, so a time <= 0 exits 2 everywhere
+    for argv in (["cd-spectrum", "--sites", "11", "--grid=-0.9:0.9:3"],
+                 ["gap-scaling", "--sizes", "11:13:2"]):
+        for time_arg in ("--time=0", "--time=-1"):
+            out = tmp_path / "ramp.csv"
+            assert main(argv + [time_arg, "--out", str(out)]) == 2
+            assert "total_time must be positive" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_singularity_abort_exits_three(tmp_path):

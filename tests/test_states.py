@@ -12,7 +12,6 @@ from cdlattice.errors import (
     SingularityError,
     UnsupportedPathError,
 )
-from cdlattice.states import zero_mode_internal_alpha
 from conftest import max_relative, two_branch_snapshot
 
 
@@ -90,7 +89,7 @@ def test_bloch_minus_is_plus_under_alpha_inversion(k, lam):
 
 def test_bloch_zero_mode_polarized_pair():
     lam = 0.999
-    alpha = zero_mode_internal_alpha(cdl.ssh_spec(101, -1, lam), lam)
+    alpha = 1j * np.sqrt((1 - lam) / (1 + lam))  # the zero mode's branch at x0 = -1
     bloch = cdl.ssh_bloch(alpha, lam, 0)
     np.testing.assert_array_equal(bloch.phi_plus, [1.0, 0.0])
     np.testing.assert_array_equal(bloch.phi_minus, [0.0, 1.0])
@@ -163,6 +162,22 @@ def test_in_gap_phases_are_exact_powers_of_i(x0, m_sites, lam):
     coeffs = cdl.in_gap_record(cdl.ssh_spec(m_sites + x0 + 1, x0, lam), lam).coeffs
     dropped = coeffs.imag if x0 % 2 == 1 else coeffs.real
     assert np.all(dropped == 0.0)
+
+
+@pytest.mark.parametrize("lam", [s * v for v in (1e-15, 1e-12, 1e-9, 1e-3, 0.3, 0.999)
+                                 for s in (1, -1)])
+@pytest.mark.parametrize("x0", [-1, 0])
+def test_zero_mode_decay_against_mpmath(x0, lam):
+    # log alpha^2 = log((1 - sigma lam)/(1 + sigma lam)) to the last bit, also as lam -> 0
+    mpmath = pytest.importorskip("mpmath")
+    from cdlattice.states import _zero_mode_log_decay, zero_mode_sublattice_sign
+
+    spec = cdl.ssh_spec(11 + x0 + 1, x0, lam)
+    sigma = zero_mode_sublattice_sign(spec)
+    with mpmath.workdps(50):
+        x = sigma * mpmath.mpf(lam)
+        exact = mpmath.log((1 - x) / (1 + x))
+        assert abs((float(_zero_mode_log_decay(spec, lam)) - exact) / exact) <= 4e-16
 
 
 def test_in_gap_limit_matches_uniform_midband_state():
