@@ -30,6 +30,7 @@ from .spectral import (
     gap_to_zero_mode,
     spectrum_sweep,
     ssh_gap_formula,
+    targeted_spectra,
 )
 from .states import basis_and_derivatives, eigen_residual, full_basis, in_gap_record
 
@@ -220,11 +221,10 @@ def cmd_gap_scaling(args) -> int:
     for m_sites in sizes:
         L = m_sites + args.x0 + 1
         spec = ssh_spec(L, args.x0, args.lam)
-        h = build_hamiltonian(spec)
-        bare = gap_to_zero_mode(np.linalg.eigvalsh(h))
+        bare = gap_to_zero_mode(np.linalg.eigvalsh(build_hamiltonian(spec)))
         formula = ssh_gap_formula(args.lam, m_sites)
-        h_cd = h + rate * targeted_cd(spec, args.lam).matrix
-        cd_gap = gap_to_zero_mode(np.linalg.eigvalsh(h_cd))
+        # the spectrum is symmetric about its exact zero, so the gap is its lowest root
+        cd_gap = gap_to_zero_mode(targeted_spectra(L, args.x0, np.array([args.lam]), rate)[0])
         rows.append((L, bare, formula, cd_gap, cd_gap / bare))
     write_csv(args.out or "gap_scaling.csv", "gap-scaling",
               {"lambda": args.lam, "sizes": args.sizes, "x0": args.x0,

@@ -431,11 +431,11 @@ def edge_alpha(spec: LatticeSpec, lam: float) -> complex:
     return 1j * a_root
 
 
-def _band_phases(spec: LatticeSpec, lam: float):
-    """(energy, sin(theta - phi_k), cos(theta - phi_k), phi_k'), one row per k < pi/2.
+def _band_phases(spec: LatticeSpec, lam):
+    """(energy, cos phi_k, sin phi_k, phi_k'), one row per k < pi/2; lam may carry more axes.
 
-    theta = k(x-L) runs over the zero-mode sublattice, cos phi_k = Re v_plus,
-    sin phi_k = sigma Im v_plus and phi_k' = sigma Im(d v_plus / v_plus),
+    The band rows on the zero-mode sublattice are sin(theta - phi_k) with theta = k(x-L);
+    cos phi_k = Re v_plus, sin phi_k = sigma Im v_plus and phi_k' = sigma Im(d v_plus / v_plus),
     with sigma = +1 for odd L and -1 for even L.
     """
     geo = _geometry(spec.L, spec.x0)
@@ -443,11 +443,7 @@ def _band_phases(spec: LatticeSpec, lam: float):
     energy = _band_energy(geo.cos2_k, geo.sin2_k, lam)
     v_plus = _bloch_second_components(geo.alpha, lam, energy)[0]
     d_plus = _bloch_second_derivatives(geo.alpha, lam, 0.0, energy)[0]
-    cos_phi, sin_phi = v_plus.real, sigma * v_plus.imag
-    sin_z, cos_z = geo.sin_theta[:, ::2], geo.cos_theta
-    sin_shift = sin_z * cos_phi - cos_z * sin_phi
-    cos_shift = cos_z * cos_phi + sin_z * sin_phi
-    return energy, sin_shift, cos_shift, sigma * (d_plus / v_plus).imag
+    return energy, v_plus.real, sigma * v_plus.imag, sigma * (d_plus / v_plus).imag
 
 
 def basis_and_derivatives(spec: LatticeSpec, lam: float):
@@ -461,12 +457,13 @@ def basis_and_derivatives(spec: LatticeSpec, lam: float):
     """
     q, p, *_ = _zero_mode(spec, lam)
     geo = _geometry(spec.L, spec.x0)
-    energy, sin_shift, cos_shift, d_phi = _band_phases(spec, lam)
+    energy, cos_phi, sin_phi, d_phi = _band_phases(spec, lam)
+    sin_z, cos_z = geo.sin_theta[:, ::2], geo.cos_theta
     scale = 1.0 / math.sqrt((spec.L - spec.x0) / 2)
     p0 = geo.sin_theta * scale
-    p0[:, ::2] = sin_shift * scale
+    p0[:, ::2] = (sin_z * cos_phi - cos_z * sin_phi) * scale
     dp0 = np.zeros_like(p0)
-    dp0[:, ::2] = cos_shift * (-scale * d_phi)
+    dp0[:, ::2] = (cos_z * cos_phi + sin_z * sin_phi) * (-scale * d_phi)
     energies = np.concatenate((energy[:, 0], -energy[:, 0], (0.0,)))
     states = np.concatenate((p0, p0 * geo.sign_flip, _on_sites(spec, q)[None, :]))
     derivatives = np.concatenate((dp0, dp0 * geo.sign_flip, _on_sites(spec, p)[None, :]))

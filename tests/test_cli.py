@@ -195,6 +195,19 @@ def test_real_structure_check_fires(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode, message", [("full", "zero-mode action residual"),
+                                           ("targeted", "Parseval residual")])
+def test_cd_spectrum_structure_check_exits_three(tmp_path, monkeypatch, capsys, mode, message):
+    # a failed structure check aborts the sweep; only a vanished bond is a skipped point
+    monkeypatch.setattr("cdlattice.cd._STRUCTURE_TOL", -1.0)
+    out = tmp_path / "cds.csv"
+    assert main(["cd-spectrum", "--sites", "11", "--mode", mode, "--grid=-0.9:0.9:5",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "skipped" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--cd", "targeted", "--d-sweep", "0:12:4"],
     ["--cd", "targeted", "--diagonals", "11"],
