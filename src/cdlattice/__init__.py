@@ -31,7 +31,7 @@ from .states import (
     ssh_energy,
 )
 from .cd import full_cd, targeted_cd
-from .dynamics import Protocol, band_limit, convergence_sweep, default_dt, propagate
+from .dynamics import Protocol, convergence_sweep, default_dt, propagate
 from .spectral import (
     diagonal_norm_ratios,
     eigh,
@@ -48,7 +48,6 @@ __all__ = [
     "NotHermitianError",
     "Protocol",
     "UnsupportedPathError",
-    "band_limit",
     "basis_and_derivatives",
     "build_hamiltonian",
     "convergence_sweep",

@@ -1,20 +1,19 @@
 """Time evolution under the driven chain, with optional CD terms.
 
 The propagator walks a linear ramp lambda(t) with the midpoint rule: each
-step applies exp(-i h dt) to the state, h = H + rate * A being the
-Hamiltonian frozen at the interval midpoint. The exponential acts through a
-truncated Taylor series built from matrix-vector products alone (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011): with theta = ||h||_2 dt bounded
-from the matrix entries, the step is split into s = ceil(theta) substeps
-and each keeps the fewest terms whose remainder bound
-(theta/s)^(K+1)/(K+1)! e^(theta/s) is below the unit roundoff 2^-53.
-The CD term varies sharply near the gap closing, so its generator is
-evaluated at every midpoint; since every closed form broadcasts over
-lambda, the step operators of a chunk of midpoints (bonds, blocks K of the
-generator, bounds theta) come from one numpy broadcast, the chunk's step
-data capped at ``_CHUNK_BYTES``, and the loop runs only the series.
-State-transfer fidelity is measured against the analytic in-gap state at the
-final ramp value.
+step applies exp(-i h dt), h = H + rate * A frozen at the interval midpoint.
+The chain is bipartite and A = i K lives on the zero-mode sublattice ``::2``,
+so in the chiral gauge D = diag(1 on rows ``::2``, i on ``1::2``) the step is
+real: D^dagger h D = i S, S real antisymmetric with the signed bonds
+(``_signed_bonds``) off its diagonal and rate K on the ``::2`` block. The drive
+carries the real v = psi / (i^(x0+1) D), which starts as the zero mode's
+profile q, and forms psi only at trace points and for the result. exp(dt S) v
+is a truncated Taylor series of matrix-vector products (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 2011): theta, dt times h's largest column abs-sum, bounds
+||h||_2 dt and splits the step into s = ceil(theta) substeps, each keeping the
+fewest terms whose remainder bound (theta/s)^(K+1)/(K+1)! e^(theta/s) is below
+2^-53. The step operators of a chunk of midpoints come from one broadcast, the
+chunk's step data capped at ``_CHUNK_BYTES``, and the loop runs only the series.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from .cd import generator_blocks
 from .errors import ConvergenceError, InvalidSpecError, SingularityError
 from .lattice import LatticeSpec, _first_false
-from .states import in_gap_record
+from .states import _PHASES, _zero_mode, in_gap_record
 
 SpecBuilder = Callable[[float], LatticeSpec]
 
@@ -38,8 +37,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 # 4; a step costs ceil(theta) substeps, so a mistyped --dt far above this
 # would run for hours instead of failing.
 _MAX_STEP_THETA = 1e3
-# Bytes of step data per chunk of midpoints: the real K blocks and bonds of a
-# CD drive, the complex bonds of a bare one. The broadcast that builds them
+# Bytes of step data per chunk of midpoints: the K blocks and bonds of a CD
+# drive, the bonds of a bare one, all real. The broadcast that builds them
 # holds about twice that at once. A small chunk stays in cache and leaves the
 # peak memory flat: 8 MiB chunks added 23 MB of RSS at 101 sites.
 _CHUNK_BYTES = 256 * 1024
@@ -62,8 +61,10 @@ class Protocol:
     band_limit: int | None = None
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise InvalidSpecError("total_time must be positive")
+        if not 0 < self.total_time < math.inf:
+            raise InvalidSpecError(f"total_time must be positive and finite, got {self.total_time}")
+        if not (math.isfinite(self.lambda0) and math.isfinite(self.lambdaf)):
+            raise InvalidSpecError(f"ramp ends must be finite, got {self.lambda0}, {self.lambdaf}")
         if self.cd_mode not in ("none", "full", "targeted"):
             raise InvalidSpecError(f"unknown cd_mode {self.cd_mode!r}")
 
@@ -94,22 +95,24 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(abs(np.vdot(a, b)) ** 2, 1.0))
 
 
-def band_limit(m: np.ndarray, d: int) -> np.ndarray:
-    """Zero all entries farther than ``d`` diagonals from the main one."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if not 0 <= d <= n - 1:
-        raise InvalidSpecError(f"band limit {d} outside 0..{n - 1}")
-    i, j = np.indices(m.shape, sparse=True)
-    return np.where(np.abs(i - j) <= d, m, 0.0)
+def _signed_bonds(spec: LatticeSpec) -> np.ndarray:
+    """The bonds of S above its diagonal: t, with the odd bonds negated."""
+    bonds = spec.t
+    bonds[..., 1::2] *= -1.0
+    return bonds
 
 
-def _bond_apply(bonds: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of the zero-diagonal tridiagonal matrix with both off-diagonals ``bonds`` and v."""
+def _chiral_apply(bonds: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of the tridiagonal antisymmetric matrix with ``bonds`` above the diagonal and v."""
     w = np.zeros_like(v)
     w[:-1] = bonds * v[1:]
-    w[1:] += bonds * v[:-1]
+    w[1:] -= bonds * v[:-1]
     return w
+
+
+def _lattice_state(v: np.ndarray, phase: complex) -> np.ndarray:
+    """psi = phase * D v, D = diag(1 on rows ``::2``, i on rows ``1::2``); exact."""
+    return v * np.where(np.arange(len(v)) % 2, 1j * phase, phase)
 
 
 def _series_length(x: float) -> int:
@@ -142,49 +145,26 @@ def _expm_apply(apply, psi: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _step_operators(chain: LatticeSpec, lams: np.ndarray, protocol: Protocol, dt: float):
-    """(blocks, bond rows, theta) of phase * h_j at the midpoints ``lams``, in one broadcast.
+    """(blocks dt rate K_j, bond rows dt S_j above the diagonal, theta_j >= ||h_j||_2 dt) at
+    the midpoints ``lams``, in one broadcast; no blocks without a CD term.
 
-    theta_j = ||h_j||_2 dt. Without a CD term there are no blocks and the
-    bond rows are phase * t = -i dt t, for ``_bond_apply``. With one, phase * h
-    is dt rate K on the zero-mode sublattice block and -i dt t on both
-    off-diagonals: real blocks dt rate K_j and real bond rows -dt t_j. h is
-    Hermitian, so its 2-norm is at most its largest column abs-sum
-    (``_column_bound``).
+    The bare theta is 2 max|t| dt. A CD theta is dt times h's largest column abs-sum:
+    |t_(x-1)| + |t_x| at site x, plus |rate| sum_b |K_ab| on the ``::2`` sites.
     """
     spec = replace(chain, lam=lams)
-    bonds = spec.t
+    bonds = _signed_bonds(spec)
+    magnitude = np.abs(bonds)
     if protocol.cd_mode == "none":
-        return None, bonds * (-1j * dt), 2.0 * np.abs(bonds).max(axis=-1) * dt
+        return None, bonds * dt, 2.0 * magnitude.max(axis=-1) * dt
     blocks = generator_blocks(spec, lams, protocol.cd_mode)
     if protocol.band_limit is not None:  # K's entries sit 2|a - b| diagonals out
         a = np.arange(blocks.shape[-1])
         blocks[..., np.abs(a[:, None] - a) > protocol.band_limit // 2] = 0.0
     blocks *= protocol.rate
-    bound = _column_bound(blocks, np.abs(bonds))
+    column = np.pad(magnitude, ((0, 0), (1, 0))) + np.pad(magnitude, ((0, 0), (0, 1)))
+    column[:, ::2] += np.abs(blocks).sum(axis=-1)
     blocks *= dt
-    return blocks, bonds * -dt, bound * dt
-
-
-def _column_bound(blocks: np.ndarray, bond_mag: np.ndarray) -> np.ndarray:
-    """Largest column abs-sum of each h, from its blocks rate K and bond magnitudes |t|.
-
-    Each column is summed down its rows in order, as np.abs(h).sum(axis=0)
-    sums the dense matrix, so the bound and the substep count it sets agree
-    with the dense ones bit for bit. In sublattice column a, rows 2a-1 and
-    2a+1 hold the bonds t_(2a-1) and t_(2a) around the zero K_aa: the sums
-    run over an (n+1)-row stack with |rate K| shifted down a row below the
-    diagonal to make room for them.
-    """
-    n = blocks.shape[-1]
-    a = np.arange(n)
-    rows = np.zeros(blocks.shape[:-2] + (n + 1, n))
-    below = a[:, None] > a
-    np.abs(blocks, out=rows[..., :n, :], where=~below)
-    np.abs(blocks, out=rows[..., 1:, :], where=below)
-    rows[..., a[1:], a[1:]] = bond_mag[..., 1::2]
-    rows[..., a[1:], a[:-1]] = bond_mag[..., ::2]
-    odd = bond_mag[..., ::2] + bond_mag[..., 1::2]
-    return np.maximum(rows.sum(axis=-2).max(axis=-1), odd.max(axis=-1))
+    return blocks, bonds * dt, column.max(axis=-1) * dt
 
 
 def propagate(
@@ -196,27 +176,26 @@ def propagate(
     """Drive the in-gap state along the ramp and report the transfer fidelity.
 
     The ramp takes ceil(total_time / dt) equal steps; a midpoint may land on
-    lambda = 0, a regular point of the odd chain. The step operators of a
-    chunk of midpoints come from one broadcast (``_step_operators``), the
-    chunk capped at ``_CHUNK_BYTES``; the loop runs only the series.
-    ``trace_every`` > 0 records (t, lambda, fidelity to the instantaneous
-    in-gap state, norm, energy expectation) every that many steps.
+    lambda = 0, a regular point of the odd chain. ``trace_every`` > 0 records
+    (t, lambda, fidelity to the instantaneous in-gap state, norm, energy
+    expectation) every that many steps.
     """
-    if dt <= 0:
-        raise InvalidSpecError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise InvalidSpecError(f"dt must be positive and finite, got {dt}")
     steps = math.ceil(protocol.total_time / dt)
     dt_eff = protocol.total_time / steps
     chain = spec_builder(protocol.lambda0)
-    m = chain.n_sites
+    m, phase = chain.n_sites, _PHASES[(chain.x0 + 1) % 4]  # the zero mode's i^(x0+1)
     cd = protocol.cd_mode != "none"
     if cd and protocol.band_limit is not None and not 0 <= protocol.band_limit <= m - 1:
         raise InvalidSpecError(f"band limit {protocol.band_limit} outside 0..{m - 1}")
-    psi = in_gap_record(chain, protocol.lambda0).coeffs.copy()
-    if cd:  # phase * h lives in one buffer, rewritten in place each step
-        h = np.zeros((m, m), dtype=complex)
-        block, flat = h.real[::2, ::2], h.imag.reshape(-1)  # evenly strided: a view into h
+    v = np.zeros(m)
+    v[::2] = _zero_mode(chain, protocol.lambda0)[0]
+    if cd:  # dt S lives in one real buffer, rewritten in place each step
+        s = np.zeros((m, m))
+        block, flat = s[::2, ::2], s.reshape(-1)  # evenly strided: views into s
         upper, lower = flat[1 :: m + 1], flat[m :: m + 1]
-    chunk = max(1, _CHUNK_BYTES // (8 * ((m + 1) ** 2 // 4 + m) if cd else 16 * m))
+    chunk = max(1, _CHUNK_BYTES // (8 * ((m + 1) ** 2 // 4 + m) if cd else 8 * m))
     trace = []
     for lo in range(0, steps, chunk):
         s_mid = (np.arange(lo, min(lo + chunk, steps)) + 0.5) / steps
@@ -230,34 +209,28 @@ def propagate(
         if (i := _first_false(thetas <= _MAX_STEP_THETA)) is not None:  # NaN fails too
             j, theta = lo + i, float(thetas[i])
             if not math.isfinite(theta):
-                raise SingularityError(
-                    f"non-finite Hamiltonian entries at t={(j + 0.5) * dt_eff:.6g} "
-                    f"(lambda={lams[i]:.6g})"
-                )
-            raise InvalidSpecError(
-                f"step norm theta = ||h|| dt = {theta:.3g} exceeds {_MAX_STEP_THETA:g} "
-                f"at dt={dt_eff:.6g}; use a smaller step"
-            )
+                raise SingularityError(f"non-finite Hamiltonian entries at t="
+                                       f"{(j + 0.5) * dt_eff:.6g} (lambda={lams[i]:.6g})")
+            raise InvalidSpecError(f"step norm theta = ||h|| dt = {theta:.3g} exceeds "
+                                   f"{_MAX_STEP_THETA:g} at dt={dt_eff:.6g}; use a smaller step")
         for i, theta in enumerate(thetas.tolist()):
             if cd:
                 block[...] = blocks[i]
-                upper[...] = lower[...] = bond_rows[i]
-                psi = _expm_apply(h.__matmul__, psi, theta)
+                upper[...] = bond_rows[i]
+                np.negative(bond_rows[i], out=lower)
+                v = _expm_apply(s.__matmul__, v, theta)
             else:
-                psi = _expm_apply(functools.partial(_bond_apply, bond_rows[i]), psi, theta)
+                v = _expm_apply(functools.partial(_chiral_apply, bond_rows[i]), v, theta)
             j = lo + i
             if trace_every and (j + 1) % trace_every == 0:
-                trace.append(_trace_point(spec_builder, protocol, (j + 1) * dt_eff, psi))
+                trace.append(_trace_point(spec_builder, protocol, (j + 1) * dt_eff, v, phase))
         del blocks, bond_rows  # free this chunk before the next is built
     # read after the drive, so a CD drive past a vanished bond names its first bad midpoint
     target = in_gap_record(spec_builder(protocol.lambdaf), protocol.lambdaf).coeffs
-    return EvolutionResult(
-        final_state=psi,
-        fidelity=fidelity(target, psi),
-        norm_drift=float(abs(np.linalg.norm(psi) - 1.0)),
-        steps=steps,
-        trace=trace,
-    )
+    psi = _lattice_state(v, phase)
+    return EvolutionResult(final_state=psi, fidelity=fidelity(target, psi),
+                           norm_drift=float(abs(np.linalg.norm(psi) - 1.0)), steps=steps,
+                           trace=trace)
 
 
 def _first_singular(chain, lams, protocol, dt, exc):
@@ -270,12 +243,14 @@ def _first_singular(chain, lams, protocol, dt, exc):
     return 0, exc
 
 
-def _trace_point(spec_builder, protocol, t_now, psi) -> dict:
-    """The trace record of the state ``psi`` at time ``t_now``."""
+def _trace_point(spec_builder, protocol, t_now, v, phase) -> dict:
+    """The trace record at time ``t_now`` of psi = phase * D v. H psi = i phase D S_H v, S_H
+    the bond part of S, so the energy <psi|H|psi> = i v.S_H v is 0 by chiral symmetry."""
     lam_now = protocol.lam(t_now)
     spec_now = spec_builder(lam_now)
     inst = in_gap_record(spec_now, lam_now).coeffs
-    h_psi = _bond_apply(spec_now.t, psi)
+    psi = _lattice_state(v, phase)
+    h_psi = _lattice_state(_chiral_apply(_signed_bonds(spec_now), v), 1j * phase)
     return {
         "t": t_now,
         "lambda": lam_now,

@@ -123,6 +123,27 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(i < live, origin + tau, d)
 
 
+def bare_spectra(L: int, x0: int, lambdas: np.ndarray) -> np.ndarray:
+    """Sorted spectra of H, one row per coupling: -sigma(T), |A| - |B| zeros and sigma(T).
+
+    H couples A = ``::2`` only to B = ``1::2``, through the real bond map T with
+    (T w)_a = t_2a w_a + t_(2a-1) w_(a-1), so its spectrum is +- the singular values of T
+    and each row is exactly symmetric. Chunks keep T within ``dynamics._CHUNK_BYTES``.
+    """
+    lambdas, n_a, n_b = np.asarray(lambdas, dtype=float), (L - x0) // 2, (L - x0 - 1) // 2
+    rows, b = np.zeros((len(lambdas), n_a + n_b)), np.arange(n_b)
+    chunk = max(1, dynamics._CHUNK_BYTES // (8 * n_a * max(n_b, 1)))  # ssh_spec rejects M < 2
+    for start in range(0, len(lambdas), chunk):
+        t = ssh_spec(L, x0, lambdas[start:start + chunk]).t
+        bond_map = np.zeros((len(t), n_a, n_b))
+        bond_map[:, b, b] = t[:, ::2]
+        bond_map[:, b[:n_a - 1] + 1, b[:n_a - 1]] = t[:, 1::2]
+        sigma = np.linalg.svd(bond_map, compute_uv=False)  # descending
+        rows[start:start + chunk, :n_b] = 0.0 - sigma  # a zero sigma gives +0.0, not -0.0
+        rows[start:start + chunk, n_a:] = sigma[:, ::-1]
+    return rows
+
+
 def targeted_spectra(L: int, x0: int, lambdas: np.ndarray, rate: float) -> np.ndarray:
     """Sorted spectra of H + rate * A_targeted, one row per coupling, each past the zero-mode guard.
 
@@ -161,28 +182,27 @@ def spectrum_sweep(
 ) -> SpectrumTable:
     """Sorted spectra of H(lambda), optionally with the rate-scaled CD term.
 
-    CD modes use H + drive_rate * generator, matching a linear ramp at that
-    constant rate; the targeted mode solves every regular point at once with
-    ``targeted_spectra``, the full mode stays dense. Grid points that fail
-    the zero-mode guard (|lambda| >= 1, where a bond has vanished) are skipped
-    and flagged; lambda = 0 is a regular point and is computed. A failed
-    structure check aborts the sweep.
+    The bare mode is ``bare_spectra``. CD modes use H + drive_rate * generator,
+    matching a linear ramp at that constant rate; the targeted mode solves every
+    regular point at once with ``targeted_spectra``, the full mode stays dense. Grid
+    points that fail the zero-mode guard (|lambda| >= 1, where a bond has vanished) are
+    skipped and flagged; lambda = 0 is a regular point and is computed. A failed structure
+    check aborts the sweep.
     """
     if mode not in ("bare", "full-cd", "targeted-cd"):
         raise InvalidSpecError(f"unknown sweep mode {mode!r}")
     lambdas = np.asarray(lambdas, dtype=float)
-    m_sites = L - x0 - 1
-    rows = np.full((len(lambdas), m_sites), np.nan)
     flags: list[str | None] = [None] * len(lambdas)
+    if mode == "bare":  # the bare spectrum has no singular point
+        return SpectrumTable(lambdas, bare_spectra(L, x0, lambdas), mode, flags)
+    rows = np.full((len(lambdas), L - x0 - 1), np.nan)
     for i, lam in enumerate(map(float, lambdas)):
         spec = ssh_spec(L, x0, lam)
         try:
             if mode == "targeted-cd":  # the regular points are solved together below
                 _require_zero_mode(spec, lam)
                 continue
-            h = build_hamiltonian(spec)
-            if mode == "full-cd":
-                h = h + drive_rate * cd.full_cd(spec, lam).matrix
+            h = build_hamiltonian(spec) + drive_rate * cd.full_cd(spec, lam).matrix
             rows[i] = np.linalg.eigvalsh(h)
         except SingularityError as exc:
             flags[i] = str(exc)

@@ -44,6 +44,7 @@ from .lattice import LatticeSpec, _col, _first_false, build_hamiltonian
 _UNIT_TOL = 1e-9            # |alpha| distance from the unit circle
 _IMAG_AXIS_TOL = 1e-12      # relative size of Re(alpha) for the in-gap family
 _ZERO_MODE_MANIFOLD_TOL = 1e-8
+_PHASES = (1, 1j, -1, -1j)  # i^k at k % 4, exact
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def _zero_mode(spec: LatticeSpec, lam):
 def _on_sites(spec: LatticeSpec, v: np.ndarray) -> np.ndarray:
     """The M-vector i^(x0+1) v on the zero-mode sublattice ``::2``, zero between; exact."""
     psi = np.zeros(spec.n_sites, dtype=complex)
-    psi[::2] = v * (1, 1j, -1, -1j)[(spec.x0 + 1) % 4]
+    psi[::2] = v * _PHASES[(spec.x0 + 1) % 4]
     return psi
 
 

@@ -144,6 +144,26 @@ def test_validation_errors_exit_two(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["cd-spectrum", "--time", "nan"],
+    ["cd-spectrum", "--lambda0", "nan"],
+    ["cd-spectrum", "--mode", "full", "--time", "nan"],
+    ["gap-scaling", "--sizes", "11:13:2", "--time", "nan"],
+    ["gap-scaling", "--sizes", "11:13:2", "--lambda", "nan"],
+    ["transfer", "--dt", "nan"],
+    ["transfer", "--dt", "inf"],
+    ["transfer", "--time", "nan"],
+    ["transfer", "--time", "inf"],
+    ["spectrum", "--grid=nan:0.5:3"],
+], ids="_".join)
+def test_non_finite_inputs_exit_two(tmp_path, capsys, argv):
+    # a NaN rate or coupling would otherwise deflate every weight, or reach an eigensolver
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--sites", "11", "--out", str(out)]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_singularity_abort_exits_three(tmp_path):
     code = main(["transfer", "--sites", "11", "--lambda0", "0.9", "--lambdaf", "1.1",
                  "--time", "1", "--cd", "targeted", "--dt", "1e-2",

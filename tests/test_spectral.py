@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import cdlattice as cdl
 from cdlattice import dynamics
 from cdlattice.errors import InvalidSpecError, NotHermitianError
-from cdlattice.spectral import _secular_roots, targeted_spectra
+from cdlattice.spectral import _secular_roots, bare_spectra, targeted_spectra
+from conftest import band_limit
 
 
 def test_eigh_uniform_three_site_chain():
@@ -124,7 +125,7 @@ def test_kept_norm_ratio_monotone(seed):
     assert all(b >= a - 1e-14 for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=1e-14)
     # one pass gives the ratio of band-limiting to each d
-    direct = [cdl.frobenius_norm(cdl.band_limit(m, d)) / cdl.frobenius_norm(m) for d in range(12)]
+    direct = [cdl.frobenius_norm(band_limit(m, d)) / cdl.frobenius_norm(m) for d in range(12)]
     np.testing.assert_allclose(ratios, direct, rtol=0, atol=1e-14)
 
 
@@ -184,6 +185,52 @@ def test_targeted_sweep_pushes_states_from_bands():
 def test_sweep_unknown_mode_rejected():
     with pytest.raises(InvalidSpecError):
         cdl.spectrum_sweep(11, -1, np.array([0.5]), mode="sideways")
+
+
+BARE_LAMBDAS = np.array([0.0, 1e-9, -1e-9, 0.3, 0.97, -0.97, 1.0, -1.0, 1.3])
+
+
+@pytest.mark.parametrize("m_sites", [2, 3, 10, 11, 12, 101, 401])
+@pytest.mark.parametrize("x0", [-1, 0, 1])
+def test_bare_spectra_match_dense(m_sites, x0):
+    L = m_sites + x0 + 1
+    rows = bare_spectra(L, x0, BARE_LAMBDAS)
+    for lam, row in zip(BARE_LAMBDAS, rows):
+        dense = np.linalg.eigvalsh(cdl.build_hamiltonian(cdl.ssh_spec(L, x0, lam)))
+        assert np.max(np.abs(row - dense)) <= 1e-12
+        np.testing.assert_array_equal(row, -row[::-1])  # exactly +- symmetric
+        if m_sites % 2:
+            assert row[m_sites // 2] == 0.0
+
+
+def test_bare_spectra_catch_a_dropped_odd_bond(monkeypatch):
+    from cdlattice import spectral
+    from cdlattice.lattice import LatticeSpec
+
+    class DroppedBond(LatticeSpec):
+        @property
+        def t(self):
+            bonds = super().t
+            bonds[..., 1] = 0.0
+            return bonds
+
+    lam = np.array([0.3])
+    dense = np.linalg.eigvalsh(cdl.build_hamiltonian(cdl.ssh_spec(11, -1, 0.3)))
+    assert np.max(np.abs(bare_spectra(11, -1, lam)[0] - dense)) <= 1e-12
+    monkeypatch.setattr(spectral, "ssh_spec", lambda L, x0, lam: DroppedBond(x0, L, lam))
+    assert np.max(np.abs(bare_spectra(11, -1, lam)[0] - dense)) > 1e-3
+
+
+def test_bare_spectra_reject_a_single_site():
+    with pytest.raises(InvalidSpecError, match="at least 2 sites"):
+        bare_spectra(1, -1, np.array([0.3]))  # M = 1
+
+
+def test_bare_rows_do_not_depend_on_the_chunk(monkeypatch):
+    grid = np.linspace(-0.99, 0.99, 7)
+    whole = bare_spectra(101, -1, grid)
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * 8 * 51 * 50)  # three couplings a chunk
+    np.testing.assert_array_equal(bare_spectra(101, -1, grid), whole)
 
 
 # ---------------------------------------------------------------------------
