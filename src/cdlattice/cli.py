@@ -160,6 +160,8 @@ def cmd_transfer(args) -> int:
     config = _protocol_config(args)
     dt = config["dt"]
     # every band limit and flag combination is checked before the first drive runs
+    if args.trace < 0:
+        raise InvalidSpecError(f"--trace must be >= 0, got {args.trace}")
     if args.d_sweep is not None and (args.diagonals is not None or args.trace):
         raise InvalidSpecError("--d-sweep cannot be combined with --diagonals or --trace")
     d_values = _parse_sizes(args.d_sweep) if args.d_sweep is not None else [args.diagonals]
@@ -180,7 +182,7 @@ def cmd_transfer(args) -> int:
     protocol = Protocol(args.lambda0, args.lambdaf, args.time,
                         cd_mode=args.cd, band_limit=args.diagonals)
     if args.trace:
-        result = propagate(build, protocol, dt, trace_every=max(1, args.trace))
+        result = propagate(build, protocol, dt, trace_every=args.trace)
         rows = [
             (r["t"], r["lambda"], r["fidelity_to_instantaneous"], r["norm"], r["energy"])
             for r in result.trace

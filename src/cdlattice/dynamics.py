@@ -7,13 +7,15 @@ so in the chiral gauge D = diag(1 on rows ``::2``, i on ``1::2``) the step is
 real: D^dagger h D = i S, S real antisymmetric with the signed bonds
 (``_signed_bonds``) off its diagonal and rate K on the ``::2`` block. The drive
 carries the real v = psi / (i^(x0+1) D), which starts as the zero mode's
-profile q, and forms psi only at trace points and for the result. exp(dt S) v
-is a truncated Taylor series of matrix-vector products (Al-Mohy & Higham, SIAM
-J. Sci. Comput. 33, 2011): theta, dt times h's largest column abs-sum, bounds
-||h||_2 dt and splits the step into s = ceil(theta) substeps, each keeping the
-fewest terms whose remainder bound (theta/s)^(K+1)/(K+1)! e^(theta/s) is below
-2^-53. The step operators of a chunk of midpoints come from one broadcast, the
-chunk's step data capped at ``_CHUNK_BYTES``, and the loop runs only the series.
+profile q, and forms psi only at trace points and for the result. exp(dt S) is
+a Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011): theta, dt
+times h's largest column abs-sum, bounds ||h||_2 dt and splits the step into
+s = ceil(theta) substeps of the fewest terms whose remainder bound
+(theta/s)^(K+1)/(K+1)! e^(theta/s) is below 2^-53. A chunk of midpoints gets
+its step operators from one broadcast, capped at ``_CHUNK_BYTES``. Up to
+``_DENSE_STEP_SITES`` sites each step is then one matvec with exp(dt S_j),
+formed for the chunk by Horner's rule in batched matmuls (Moler & Van Loan,
+SIAM Rev. 45, 2003); longer chains apply the series to v term by term.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ _UNIT_ROUNDOFF = 2.0**-53
 # 4; a step costs ceil(theta) substeps, so a mistyped --dt far above this
 # would run for hours instead of failing.
 _MAX_STEP_THETA = 1e3
-# Bytes of step data per chunk of midpoints: the K blocks and bonds of a CD
-# drive, the bonds of a bare one, all real. The broadcast that builds them
-# holds about twice that at once. A small chunk stays in cache and leaves the
+# Bytes of step data per chunk of midpoints, all real: the K blocks and bonds of
+# a CD drive, the bonds of a bare one, or 16 M^2 for dense step matrices. Building
+# them holds about twice that at once. A small chunk stays in cache and leaves the
 # peak memory flat: 8 MiB chunks added 23 MB of RSS at 101 sites.
 _CHUNK_BYTES = 256 * 1024
+# Longest chain stepped by dense step matrices: every drive steps faster so up to
+# it, in interleaved per-step timings (CHANGES.md).
+_DENSE_STEP_SITES = 17
 _FID_TOL = 1e-10
 _MAX_HALVINGS = 12
 
@@ -115,25 +120,18 @@ def _lattice_state(v: np.ndarray, phase: complex) -> np.ndarray:
     return v * np.where(np.arange(len(v)) % 2, 1j * phase, phase)
 
 
-def _series_length(x: float) -> int:
-    """Fewest Taylor terms k with remainder bound x^(k+1)/(k+1)! e^x <= 2^-53."""
-    bound = math.exp(x)
-    k = 0
-    while True:
-        bound *= x / (k + 1)
-        if bound <= _UNIT_ROUNDOFF:
-            return k
-        k += 1
+def _series_plan(thetas: np.ndarray):
+    """Per midpoint, the substeps s = ceil(theta) and the fewest Taylor terms k with
+    remainder bound x^(k+1)/(k+1)! e^x <= 2^-53 at x = theta/s <= 1 (at most 18)."""
+    substeps = np.maximum(1, np.ceil(thetas)).astype(int)
+    x = thetas / substeps
+    bounds = np.cumprod(np.column_stack([np.exp(x), x[:, None] / np.arange(1, 21)]), axis=1)
+    return substeps, np.argmax(bounds[:, 1:] <= _UNIT_ROUNDOFF, axis=1)
 
 
-def _expm_apply(apply, psi: np.ndarray, theta: float) -> np.ndarray:
-    """exp(op) psi by the scaled Taylor series, for ``apply`` the action of op.
-
-    ``theta`` bounds the 2-norm of op. The step is split into s = ceil(theta)
-    substeps exp(op/s), each of norm at most 1 and summed to the unit roundoff.
-    """
-    substeps = max(1, math.ceil(theta))
-    terms = _series_length(theta / substeps)
+def _expm_apply(apply, psi: np.ndarray, substeps: int, terms: int) -> np.ndarray:
+    """exp(op) psi by the scaled Taylor series, for ``apply`` the action of op, in
+    ``substeps`` substeps exp(op/s) of norm at most 1, each summed to ``terms`` terms."""
     psi = psi.copy()
     for _ in range(substeps):
         term = psi
@@ -142,6 +140,41 @@ def _expm_apply(apply, psi: np.ndarray, theta: float) -> np.ndarray:
             term *= 1.0 / (k * substeps)
             psi += term
     return psi
+
+
+def _generator_writer(out: np.ndarray):
+    """A function writing dt S_j into the (k, M, M) stack ``out``: bond rows above the
+    diagonal, their negatives below, blocks on ``[:, ::2, ::2]``; views are taken once."""
+    k, m = out.shape[:2]
+    flat = out.reshape(k, -1)  # evenly strided diagonals: views into out
+    block, upper, lower = out[:, ::2, ::2], flat[:, 1 :: m + 1], flat[:, m :: m + 1]
+
+    def write(blocks, bond_rows):
+        upper[...] = bond_rows
+        np.negative(bond_rows, out=lower)
+        if blocks is not None:
+            block[...] = blocks
+    return write
+
+
+def _step_matrices(blocks, bond_rows: np.ndarray, substeps, terms) -> np.ndarray:
+    """exp(dt S_j) for a chunk as a (k, M, M) stack: per row, s_j substeps of its own series,
+    a Horner polynomial I + X(I + X/2(...)) in X = dt S_j / s_j; shorter rows are masked."""
+    k, m = bond_rows.shape[0], bond_rows.shape[1] + 1
+    x = np.zeros((k, m, m))
+    _generator_writer(x)(blocks, bond_rows)
+    eye = np.eye(m)
+    p, q = np.broadcast_to(eye, x.shape).copy(), np.empty_like(x)
+    for j in range(int(terms.max()), 0, -1):
+        np.matmul(x, p, out=q)
+        q *= (1.0 / (j * substeps))[:, None, None]
+        q += eye
+        np.copyto(p, q, where=(terms >= j)[:, None, None])
+    u = p.copy()
+    for r in range(2, int(substeps.max()) + 1):
+        np.matmul(p, u, out=x)
+        np.copyto(u, x, where=(substeps >= r)[:, None, None])
+    return u
 
 
 def _step_operators(chain: LatticeSpec, lams: np.ndarray, protocol: Protocol, dt: float):
@@ -161,7 +194,9 @@ def _step_operators(chain: LatticeSpec, lams: np.ndarray, protocol: Protocol, dt
         a = np.arange(blocks.shape[-1])
         blocks[..., np.abs(a[:, None] - a) > protocol.band_limit // 2] = 0.0
     blocks *= protocol.rate
-    column = np.pad(magnitude, ((0, 0), (1, 0))) + np.pad(magnitude, ((0, 0), (0, 1)))
+    column = np.zeros((len(lams), chain.n_sites))
+    column[:, 1:] += magnitude
+    column[:, :-1] += magnitude
     column[:, ::2] += np.abs(blocks).sum(axis=-1)
     blocks *= dt
     return blocks, bonds * dt, column.max(axis=-1) * dt
@@ -191,11 +226,12 @@ def propagate(
         raise InvalidSpecError(f"band limit {protocol.band_limit} outside 0..{m - 1}")
     v = np.zeros(m)
     v[::2] = _zero_mode(chain, protocol.lambda0)[0]
-    if cd:  # dt S lives in one real buffer, rewritten in place each step
-        s = np.zeros((m, m))
-        block, flat = s[::2, ::2], s.reshape(-1)  # evenly strided: views into s
-        upper, lower = flat[1 :: m + 1], flat[m :: m + 1]
-    chunk = max(1, _CHUNK_BYTES // (8 * ((m + 1) ** 2 // 4 + m) if cd else 8 * m))
+    dense = m <= _DENSE_STEP_SITES
+    if cd and not dense:  # dt S lives in one real buffer, rewritten in place each step
+        s = np.zeros((1, m, m))
+        write_s, apply_s = _generator_writer(s), s[0].__matmul__
+    step_bytes = 16 * m * m if dense else 8 * ((m + 1) ** 2 // 4 + m) if cd else 8 * m
+    chunk = max(1, _CHUNK_BYTES // step_bytes)
     trace = []
     for lo in range(0, steps, chunk):
         s_mid = (np.arange(lo, min(lo + chunk, steps)) + 0.5) / steps
@@ -213,18 +249,20 @@ def propagate(
                                        f"{(j + 0.5) * dt_eff:.6g} (lambda={lams[i]:.6g})")
             raise InvalidSpecError(f"step norm theta = ||h|| dt = {theta:.3g} exceeds "
                                    f"{_MAX_STEP_THETA:g} at dt={dt_eff:.6g}; use a smaller step")
-        for i, theta in enumerate(thetas.tolist()):
-            if cd:
-                block[...] = blocks[i]
-                upper[...] = bond_rows[i]
-                np.negative(bond_rows[i], out=lower)
-                v = _expm_apply(s.__matmul__, v, theta)
+        substeps, terms = _series_plan(thetas)
+        step_matrices = _step_matrices(blocks, bond_rows, substeps, terms) if dense else None
+        for i, plan in enumerate(zip(substeps.tolist(), terms.tolist())):
+            if dense:
+                v = step_matrices[i] @ v
+            elif cd:
+                write_s(blocks[i], bond_rows[i])
+                v = _expm_apply(apply_s, v, *plan)
             else:
-                v = _expm_apply(functools.partial(_chiral_apply, bond_rows[i]), v, theta)
+                v = _expm_apply(functools.partial(_chiral_apply, bond_rows[i]), v, *plan)
             j = lo + i
             if trace_every and (j + 1) % trace_every == 0:
                 trace.append(_trace_point(spec_builder, protocol, (j + 1) * dt_eff, v, phase))
-        del blocks, bond_rows  # free this chunk before the next is built
+        del blocks, bond_rows, step_matrices  # free this chunk before the next is built
     # read after the drive, so a CD drive past a vanished bond names its first bad midpoint
     target = in_gap_record(spec_builder(protocol.lambdaf), protocol.lambdaf).coeffs
     psi = _lattice_state(v, phase)

@@ -155,9 +155,11 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     ["transfer", "--time", "nan"],
     ["transfer", "--time", "inf"],
     ["spectrum", "--grid=nan:0.5:3"],
+    ["transfer", "--cd", "full", "--dt", "0.01", "--trace", "-3"],
 ], ids="_".join)
 def test_non_finite_inputs_exit_two(tmp_path, capsys, argv):
-    # a NaN rate or coupling would otherwise deflate every weight, or reach an eigensolver
+    # a NaN rate or coupling would otherwise deflate every weight, or reach an eigensolver;
+    # a negative --trace traced every step
     out = tmp_path / "x.csv"
     assert main(argv + ["--sites", "11", "--out", str(out)]) == 2
     assert "must be" in capsys.readouterr().err

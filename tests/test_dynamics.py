@@ -1,11 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cdlattice as cdl
+import cdlattice.dynamics as dynamics
 from cdlattice.dynamics import Protocol, convergence_sweep, default_dt, fidelity, propagate
 from cdlattice.errors import InvalidSpecError, SingularityError
+from cdlattice.lattice import LatticeSpec
 from conftest import band_limit, builder, dense_midpoint_propagate
 
 
@@ -138,7 +143,7 @@ def test_drive_through_vanished_bond_aborts():
 @pytest.mark.parametrize("steps_per_chunk", [None, 7])
 def test_drive_through_vanished_bond_names_the_first_bad_midpoint(monkeypatch, steps_per_chunk):
     if steps_per_chunk:  # midpoint 500 then sits inside the chunk from 497
-        monkeypatch.setattr("cdlattice.dynamics._CHUNK_BYTES", steps_per_chunk * 8 * (6 * 6 + 11))
+        monkeypatch.setattr("cdlattice.dynamics._CHUNK_BYTES", steps_per_chunk * 16 * 11 * 11)
     protocol = Protocol(0.9, 1.1, 1.0, cd_mode="targeted")
     # midpoint 499 is at lambda 0.9999, midpoint 500 at 1.0001
     with pytest.raises(SingularityError, match=r"t=0\.5005 \(lambda=1\.0001\)"):
@@ -149,12 +154,10 @@ def test_drive_through_vanished_bond_names_the_first_bad_midpoint(monkeypatch, s
 @pytest.mark.parametrize("mode,d", [("none", None), ("targeted", None), ("full", None),
                                     ("full", 0), ("full", 3)])
 def test_final_state_does_not_depend_on_the_chunk(monkeypatch, x0, mode, d):
-    import cdlattice.dynamics as dynamics
-
     protocol = Protocol(0.9, -0.9, 1.0, cd_mode=mode, band_limit=d)
     make = builder(11, x0)
     default = propagate(make, protocol, 0.02).final_state  # 50 steps: one default chunk
-    step_bytes = 8 * 11 if mode == "none" else 8 * (6 * 6 + 11)  # real bonds and blocks
+    step_bytes = 16 * 11 * 11  # an 11-site chain steps by dense real step matrices
     chunks = []
     build = dynamics._step_operators
 
@@ -194,9 +197,11 @@ def test_step_bound_equals_dense_column_sum(mode, d):
         assert abs(theta - np.abs(h).sum(axis=0).max() * dt) <= 4 * np.finfo(float).eps * theta
 
 
-@pytest.mark.parametrize("m_sites,dt", [(11, 1e-4), (101, 1e-3)])
-def test_propagate_peak_memory_is_bounded(m_sites, dt):
-    protocol = Protocol(0.9, -0.9, 1.0, cd_mode="full")
+@pytest.mark.parametrize("m_sites,dt,mode", [(11, 1e-4, "full"), (11, 1e-4, "none"),
+                                             (11, 1e-4, "targeted"), (101, 1e-3, "full")],
+                         ids=["11-0.0001", "11-0.0001-none", "11-0.0001-targeted", "101-0.001"])
+def test_propagate_peak_memory_is_bounded(m_sites, dt, mode):
+    protocol = Protocol(0.9, -0.9, 1.0, cd_mode=mode)
     propagate(builder(m_sites), protocol, 0.1)  # caches filled outside the measurement
     tracemalloc.start()
     try:
@@ -205,6 +210,58 @@ def test_propagate_peak_memory_is_bounded(m_sites, dt):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("x0", [-1, 0])
+@pytest.mark.parametrize("mode,d", [("none", None), ("targeted", None), ("full", None),
+                                    ("full", 0), ("full", 3)])
+@pytest.mark.parametrize("total_time,dt", [(1.0, 0.05), (10.0, 0.5), (10.0, 2.5), (0.1, 1e-3)])
+def test_dense_and_series_steps_agree(monkeypatch, x0, mode, d, total_time, dt):
+    # dt 2.5 takes up to 9 Taylor substeps per step
+    protocol = Protocol(0.9, -0.9, total_time, cd_mode=mode, band_limit=d)
+    make = builder(11, x0)
+    chunks = []
+    build = dynamics._step_matrices
+
+    def counted(blocks, bond_rows, *plan):
+        chunks.append(len(bond_rows))
+        return build(blocks, bond_rows, *plan)
+
+    monkeypatch.setattr(dynamics, "_step_matrices", counted)
+    states = []
+    for sites in (11, 10):  # 11 sites step by dense step matrices, then by the series
+        monkeypatch.setattr(dynamics, "_DENSE_STEP_SITES", sites)
+        states.append(propagate(make, protocol, dt).final_state)
+    assert sum(chunks) == math.ceil(total_time / dt)  # every step of the first drive, no other
+    assert np.abs(states[0] - states[1]).max() <= 1e-13
+
+
+@given(m_sites=st.sampled_from(range(3, dynamics._DENSE_STEP_SITES + 1, 2)),
+       x0=st.sampled_from([-1, 0]), mode=st.sampled_from(["none", "targeted", "full"]),
+       lams=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=5),
+       dt=st.floats(1e-4, 2.5))
+def test_step_matrices_are_orthogonal(m_sites, x0, mode, lams, dt):
+    protocol = Protocol(0.9, -0.9, 1.0, cd_mode=mode)
+    chain = LatticeSpec(x0, m_sites + x0 + 1, 0.9)
+    blocks, bond_rows, thetas = dynamics._step_operators(chain, np.array(lams), protocol, dt)
+    u = dynamics._step_matrices(blocks, bond_rows, *dynamics._series_plan(thetas))
+    assert np.abs(np.swapaxes(u, 1, 2) @ u - np.eye(m_sites)).max() <= 1e-14
+
+
+def test_series_plan_matches_the_scalar_loop():
+    def series_length(x):  # the remainder bound's loop, one theta at a time
+        bound, k = math.exp(x), 0
+        while True:
+            bound *= x / (k + 1)
+            if bound <= 2.0**-53:
+                return k
+            k += 1
+
+    thetas = np.concatenate([np.random.default_rng(7).uniform(0.0, 40.0, 2000),
+                             [0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-15, 2.0, 999.5, 1e3]])
+    substeps, terms = dynamics._series_plan(thetas)
+    for theta, s, k in zip(thetas.tolist(), substeps.tolist(), terms.tolist()):
+        assert s == max(1, math.ceil(theta)) and k == series_length(theta / s)
 
 
 def test_invalid_step_rejected():
